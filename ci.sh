@@ -6,11 +6,16 @@
 set -eux
 
 go vet ./...
+# Formatting gate: gofmt -l prints every file whose layout differs.
+test -z "$(gofmt -l .)"
 go build ./...
 # -timeout turns a wedged test (deadlocked worker, unbounded retry) into
 # a failure instead of a hung CI run.
 go test -timeout 10m -shuffle=on ./...
 go test -timeout 15m -race ./...
+# bench/ is a module of its own (it replaces tlbmap with ../), so the
+# ./... patterns above never reach its tests.
+(cd bench && go test -timeout 10m ./...)
 
 # Coverage floor: the simulator core (engine + memory hierarchy) is what
 # every reported number rests on; its statement coverage must not drop
@@ -67,6 +72,15 @@ go test -timeout 10m -run 'TestShardWorkerInvariance' ./internal/sim
 SERVE_SMOKE="$(go run ./cmd/mapperd -selftest -conns 64 -tenants 8 -threads 8 \
 	-events 200 -batch 25 -query-every 4 -seed 1)"
 echo "$SERVE_SMOKE" | grep -q 'drained cleanly'
+
+# Durable serve smoke: the same fleet against a durable daemon under
+# -sync always, so every ack waits for WAL group commit (burst acks behind
+# one covering fsync, leader/follower commit) over real TCP.
+DURABLE_DIR="$(mktemp -d)"
+DURABLE_SMOKE="$(go run ./cmd/mapperd -selftest -dir "$DURABLE_DIR" -sync always \
+	-conns 64 -tenants 8 -threads 8 -events 200 -batch 25 -query-every 0 -seed 4)"
+echo "$DURABLE_SMOKE" | grep -q 'drained cleanly'
+rm -rf "$DURABLE_DIR"
 
 # Reconnect smoke: the same fleet sequenced, with every connection
 # deliberately dropping and resuming mid-stream over real TCP. The selftest

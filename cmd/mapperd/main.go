@@ -95,10 +95,10 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := serve.Config{
-		Shards:        *shards,
-		QueueCap:      *queueCap,
-		QueryDeadline: *deadline,
-		Faults:        plan,
+		Shards:          *shards,
+		QueueCap:        *queueCap,
+		QueryDeadline:   *deadline,
+		Faults:          plan,
 		Dir:             *dir,
 		Sync:            policy,
 		SnapshotEvery:   *snapEvery,
@@ -224,9 +224,16 @@ func runSelftest(srv *serve.Server, addr string, opts loadgen.Options, deadline 
 	}
 	st := srv.Stats()
 
+	// Batches per sync is the mean group-commit round: how many acked
+	// batches one fsync retired (0 syncs: not durable under -sync always).
+	perSync := 0.0
+	if st.Syncs > 0 {
+		perSync = float64(report.Batches) / float64(st.Syncs)
+	}
 	fmt.Printf("mapperd selftest: %s\n", report)
-	fmt.Printf("  drained cleanly: tenants=%d ingested=%d applied=%d dropped=%d lost=%d storms=%d degraded=%d quarantined=%d\n",
-		st.Tenants, st.Ingested, st.Applied, st.Dropped, st.LostSamples, st.Storms, st.Degraded, st.Quarantines)
+	fmt.Printf("  drained cleanly: tenants=%d ingested=%d applied=%d dropped=%d lost=%d storms=%d degraded=%d quarantined=%d syncs=%d batches/sync=%.1f\n",
+		st.Tenants, st.Ingested, st.Applied, st.Dropped, st.LostSamples, st.Storms, st.Degraded, st.Quarantines,
+		st.Syncs, perSync)
 	fmt.Printf("BENCH conns=%d events_per_sec=%.0f queries_per_sec=%.0f p50_us=%d p99_us=%d\n",
 		report.Conns, report.EventsPerSec, report.QueriesPerSec,
 		report.QueryP50.Microseconds(), report.QueryP99.Microseconds())

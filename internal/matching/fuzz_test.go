@@ -14,7 +14,7 @@ func FuzzMatchingOptimality(f *testing.F) {
 	f.Add([]byte{4, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6})
 	f.Add([]byte{2, 0xff, 0xff})
 	f.Add([]byte{6, 9, 9, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9})
-	f.Add([]byte{12})                   // all-zero weights at the size cap
+	f.Add([]byte{12})                  // all-zero weights at the size cap
 	f.Add([]byte{8, 1, 1, 1, 1, 1, 1}) // partial triangle
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

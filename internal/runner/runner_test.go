@@ -100,9 +100,9 @@ func TestSeedDeterministic(t *testing.T) {
 	}
 	seen := map[int64]string{a: "base"}
 	for name, s := range map[string]int64{
-		"other base":    Seed(2, "SP", "rep", "3"),
-		"other bench":   Seed(1, "LU", "rep", "3"),
-		"other kind":    Seed(1, "SP", "os", "3"),
+		"other base":   Seed(2, "SP", "rep", "3"),
+		"other bench":  Seed(1, "LU", "rep", "3"),
+		"other kind":   Seed(1, "SP", "os", "3"),
 		"other rep":    Seed(1, "SP", "rep", "4"),
 		"merged parts": Seed(1, "SPrep", "3"),
 	} {

@@ -52,11 +52,6 @@ func crashServer(s *Server) {
 		}
 		sh.mu.Unlock()
 	}
-	if s.gc != nil {
-		// Aborted logs fail every remaining commit round (sticky
-		// commitErr), releasing any waiter; then retire the scheduler.
-		s.gc.stop()
-	}
 }
 
 // walSegments lists a durable tenant's WAL segment paths, sorted.

@@ -1,157 +1,91 @@
 package serve
 
-import "sync"
+import "fmt"
 
 // Group commit.
 //
 // Under Config.Dir with wal.SyncAlways every accepted batch must be
 // fsynced before its ack is released — that is the acked-survives-crash
-// contract. Fsyncing inside every IngestFrom serializes the whole tenant
-// on disk latency, so instead the ingest path buffers the WAL append
-// (wal.AppendBuffered, no fsync), schedules the tenant on the shared
-// committer below, and blocks in waitDurable until a completed fsync
-// covers its sequence number. One fsync then retires every append that
-// landed before it — concurrent writers to one tenant coalesce naturally
-// (their appends pile up while the previous commit round runs), and a
-// thousand small tenants issue fsyncs at the rate one scheduler can
-// retire them instead of one per batch.
+// contract. Fsyncing inside every ingest serializes the whole tenant on
+// disk latency, so instead the ingest path buffers the WAL append
+// (wal.AppendBuffered, no fsync) and the ack waits in waitDurable until a
+// completed fsync covers its sequence number. One fsync then retires
+// every append that landed before it.
+//
+// The waiters commit among themselves, leader/follower: the first one
+// that finds no fsync in flight becomes the leader, runs one flush+fsync
+// for the tenant, publishes the covered horizon and wakes the rest.
+// Waiters that arrive while it runs wait for it and re-check — their
+// append may have landed after the fsync started — and one of them leads
+// the next round. Appends keep coalescing while an fsync is in flight,
+// tenants fsync concurrently, and there is no goroutine to start or stop.
+//
+// On the wire the wait moves to the connection (session.release): a
+// pipelined burst of E lines is ingested back to back, its acks are
+// buffered, and the whole burst's acks are released together after one
+// covering fsync, just before the first byte of them reaches the socket.
 //
 // Ordering guarantee: an ack (including "OK dup" retransmit acks and the
 // "OK seq=<n>" HELLO resume point, which implicitly acknowledge earlier
 // batches) is released only after wal.Log.Sync has returned and the
 // covered sequence number has been observed. A crash between append and
-// fsync loses only batches whose ingest call had not yet returned.
+// fsync loses only batches whose ack had not been released.
 
-// committer is the shared cross-tenant sync scheduler. Tenants with
-// freshly buffered appends queue here (deduplicated via commitQueued) and
-// one background goroutine drains the queue, giving each queued tenant
-// one flush+fsync per round.
-type committer struct {
-	mu      sync.Mutex
-	queue   []*tenant
-	stopped bool
-	wake    chan struct{}
-	done    chan struct{}
-
-	// preSync and postSync are test-only crash points around each
-	// tenant's fsync, used by the group-commit chaos table.
-	preSync, postSync func(*tenant)
-}
-
-func newCommitter() *committer {
-	c := &committer{
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
-	}
-	go c.run()
-	return c
-}
-
-// schedule queues t for the next commit round. After the committer has
-// stopped (server drain), the caller's goroutine syncs inline so no
-// waiter is ever stranded.
-func (c *committer) schedule(t *tenant) {
-	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		t.groupSync(c.preSync, c.postSync)
-		return
-	}
-	if t.commitQueued {
-		c.mu.Unlock()
-		return
-	}
-	t.commitQueued = true
-	c.queue = append(c.queue, t)
-	c.mu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (c *committer) run() {
-	defer close(c.done)
-	var round []*tenant
-	for {
-		c.mu.Lock()
-		round = append(round[:0], c.queue...)
-		c.queue = c.queue[:0]
-		// Clear the queued flags before syncing: an append that lands
-		// while this round's fsync is in flight must be able to requeue
-		// the tenant, because that fsync may not cover it.
-		for _, t := range round {
-			t.commitQueued = false
-		}
-		stopped := c.stopped
-		c.mu.Unlock()
-		for _, t := range round {
-			t.groupSync(c.preSync, c.postSync)
-		}
-		if len(round) > 0 {
-			continue
-		}
-		if stopped {
-			return
-		}
-		<-c.wake
-	}
-}
-
-// stop drains the queue and retires the scheduler goroutine. Later
-// schedule calls sync inline on the caller's goroutine.
-func (c *committer) stop() {
-	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		<-c.done
-		return
-	}
-	c.stopped = true
-	c.mu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-	<-c.done
-}
-
-// groupSync runs one commit round for this tenant: one flush+fsync, then
-// release every ingest waiting on a covered sequence number. A failed
-// fsync is sticky — a WAL that cannot make acks durable can no longer
-// honor the contract, so every current and future waiter fails (and
-// quarantines the tenant fail-stop).
-func (t *tenant) groupSync(pre, post func(*tenant)) {
-	if pre != nil {
-		pre(t)
-	}
-	err := t.wlog.Sync()
-	var covered uint64
-	if err == nil {
-		covered = t.wlog.Synced()
-	}
-	if post != nil {
-		post(t)
-	}
-	t.commitMu.Lock()
-	if err != nil {
-		if t.commitErr == nil {
-			t.commitErr = err
-		}
-	} else if covered > t.ackedDurable {
-		t.ackedDurable = covered
-	}
-	t.commitCond.Broadcast()
-	t.commitMu.Unlock()
-}
-
-// waitDurable blocks until a completed fsync covers seq, or the tenant's
-// commit path has failed.
+// waitDurable blocks until a completed fsync covers seq, leading the
+// fsync itself when none is in flight. A failed fsync is sticky — a WAL
+// that cannot make acks durable can no longer honor the contract — so it
+// quarantines the tenant fail-stop, and every current and future waiter
+// gets ErrTenantQuarantined.
 func (t *tenant) waitDurable(seq uint64) error {
 	t.commitMu.Lock()
 	defer t.commitMu.Unlock()
 	for t.ackedDurable < seq && t.commitErr == nil {
-		t.commitCond.Wait()
+		if t.syncing {
+			t.commitCond.Wait()
+			continue
+		}
+		t.syncing = true
+		t.commitMu.Unlock()
+		covered, err := t.syncCovering(seq)
+		t.commitMu.Lock()
+		t.syncing = false
+		if err != nil {
+			if t.commitErr == nil {
+				t.commitErr = err
+				t.quarantineErr(err)
+			}
+		} else if covered > t.ackedDurable {
+			t.ackedDurable = covered
+		}
+		t.commitCond.Broadcast()
 	}
-	return t.commitErr
+	if t.commitErr != nil {
+		return fmt.Errorf("%w: %q: %v", ErrTenantQuarantined, t.id, t.commitErr)
+	}
+	return nil
+}
+
+// syncCovering is the leader's round: one flush+fsync unless the WAL is
+// already synced through seq (a segment rotation fsyncs too), and the
+// horizon the log now knows durable. An error is reported only when seq
+// is still uncovered: Drain and eviction close the log with a final
+// fsync, after which a late leader's Sync fails although its batch is
+// safe.
+func (t *tenant) syncCovering(seq uint64) (uint64, error) {
+	if covered := t.wlog.Synced(); covered >= seq {
+		return covered, nil
+	}
+	if t.preSync != nil {
+		t.preSync()
+	}
+	err := t.wlog.Sync()
+	t.syncs.Add(1)
+	if t.postSync != nil {
+		t.postSync()
+	}
+	covered := t.wlog.Synced()
+	if covered >= seq {
+		err = nil
+	}
+	return covered, err
 }

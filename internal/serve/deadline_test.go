@@ -178,10 +178,11 @@ func TestBackpressureBoundedQueue(t *testing.T) {
 }
 
 // TestBlockedReaderHangsUp connects a client that pipelines requests but
-// never reads a single response: the bounded outbox fills, the server
-// hangs the connection up, and other connections keep being served.
+// never reads a single response: the first flush that cannot complete
+// trips the write deadline, the server hangs the connection up, and other
+// connections keep being served.
 func TestBlockedReaderHangsUp(t *testing.T) {
-	s := New(Config{OutboxCap: 4, WriteTimeout: 50 * time.Millisecond})
+	s := New(Config{WriteTimeout: 50 * time.Millisecond})
 	client, server := net.Pipe()
 	defer client.Close()
 	connDone := make(chan struct{})

@@ -171,9 +171,9 @@ func TestGroupCommitCrashTable(t *testing.T) {
 				t.Fatal("SyncAlways durable tenant should be in group-commit mode")
 			}
 			var armed atomic.Bool
-			crash := func(x *tenant) {
+			crash := func() {
 				if armed.Load() {
-					x.wlog.Abort()
+					tn.wlog.Abort()
 				}
 			}
 			switch point {
@@ -181,15 +181,15 @@ func TestGroupCommitCrashTable(t *testing.T) {
 				// Crash between the buffered append and its group fsync:
 				// batch K is in the userspace buffer only and must be lost
 				// — AND its ingest must not have been acknowledged.
-				s.gc.preSync = crash
+				tn.preSync = crash
 			case "afterFsync":
 				// Crash between the group fsync and the ack release: batch
 				// K is durable, the client never hears so; the retransmit
 				// must dedup.
-				s.gc.postSync = crash
+				tn.postSync = crash
 			case "afterAck":
 				// Crash after the ack: the classic acked-survives-crash
-				// case, now with the ack released by the committer.
+				// case, now with the ack released by the commit leader.
 			}
 
 			batches := chaosBatches(9, threads, K, per)

@@ -48,7 +48,7 @@ type Options struct {
 	// Batch is the events per E line (default 50).
 	Batch int
 	// QueryEvery issues a placement query every that many batches
-	// (default 4; 0 disables queries).
+	// (0 or less disables queries).
 	QueryEvery int
 	// Seed derives every connection's deterministic sample stream.
 	Seed int64
@@ -95,11 +95,6 @@ func (o Options) withDefaults() Options {
 	if o.Batch <= 0 {
 		o.Batch = 50
 	}
-	if o.QueryEvery < 0 {
-		o.QueryEvery = 0
-	} else if o.QueryEvery == 0 {
-		o.QueryEvery = 4
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -124,12 +119,13 @@ func (o Options) withDefaults() Options {
 // Report summarizes one fleet run.
 type Report struct {
 	Conns, Tenants, Threads int
-	// Events and Queries count acknowledged requests; Errors counts ERR
+	// Events, Batches and Queries count acknowledged requests (Events
+	// the samples in the acknowledged batches); Errors counts ERR
 	// responses (overload responses land here), HangUps counts
 	// connections the server closed early or that failed IO.
-	Events, Queries, Errors, HangUps uint64
-	Elapsed                          time.Duration
-	EventsPerSec, QueriesPerSec      float64
+	Events, Batches, Queries, Errors, HangUps uint64
+	Elapsed                                   time.Duration
+	EventsPerSec, QueriesPerSec               float64
 	// QueryP50/QueryP99 summarize round-trip query latency.
 	QueryP50, QueryP99 time.Duration
 }
@@ -158,10 +154,10 @@ func Run(o Options) (Report, error) {
 		return Report{}, fmt.Errorf("loadgen: Options.Dial is required")
 	}
 	var (
-		events, queries, errs, hangups atomic.Uint64
-		mu                             sync.Mutex
-		latencies                      []time.Duration
-		wg                             sync.WaitGroup
+		events, batches, queries, errs, hangups atomic.Uint64
+		mu                                      sync.Mutex
+		latencies                               []time.Duration
+		wg                                      sync.WaitGroup
 	)
 	// Synthesize every connection's conversation before starting the
 	// clock: the reported window measures shipping and serving, not
@@ -175,8 +171,9 @@ func Run(o Options) (Report, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			lat, ev, q, er, err := drive(o, plans[i])
+			lat, ev, b, q, er, err := drive(o, plans[i])
 			events.Add(ev)
+			batches.Add(b)
 			queries.Add(q)
 			errs.Add(er)
 			if err != nil {
@@ -192,7 +189,7 @@ func Run(o Options) (Report, error) {
 
 	r := Report{
 		Conns: o.Conns, Tenants: o.Tenants, Threads: o.Threads,
-		Events: events.Load(), Queries: queries.Load(),
+		Events: events.Load(), Batches: batches.Load(), Queries: queries.Load(),
 		Errors: errs.Load(), HangUps: hangups.Load(),
 		Elapsed: elapsed,
 	}
@@ -306,7 +303,7 @@ func prepare(o Options, i int) *plan {
 // early (server hangup, IO failure). With Reconnect set the conversation
 // is sequenced and survives — in fact deliberately injects — a dropped
 // connection mid-stream.
-func drive(o Options, p *plan) (lat []time.Duration, events, queries, errs uint64, err error) {
+func drive(o Options, p *plan) (lat []time.Duration, events, batches, queries, errs uint64, err error) {
 	source, rng := p.source, p.rng
 	lines, sizes := p.lines, p.sizes
 	nbatches := len(lines)
@@ -375,7 +372,7 @@ func drive(o Options, p *plan) (lat []time.Duration, events, queries, errs uint6
 
 	acked, err := connect()
 	if err != nil {
-		return lat, events, queries, errs, err
+		return lat, events, batches, queries, errs, err
 	}
 	// skipAcked credits batches the server already accepted (a lost ack
 	// followed by a reconnect) and advances past them.
@@ -383,6 +380,7 @@ func drive(o Options, p *plan) (lat []time.Duration, events, queries, errs uint6
 	skipAcked := func(acked uint64) {
 		for uint64(bi) < acked && bi < nbatches {
 			events += uint64(sizes[bi])
+			batches++
 			bi++
 		}
 	}
@@ -423,6 +421,7 @@ func drive(o Options, p *plan) (lat []time.Duration, events, queries, errs uint6
 					queries++
 				default:
 					events += uint64(p.size)
+					batches++
 				}
 			}
 			window = window[:0]
@@ -430,29 +429,29 @@ func drive(o Options, p *plan) (lat []time.Duration, events, queries, errs uint6
 		}
 		for bi < nbatches {
 			if _, werr := w.Write(lines[bi]); werr != nil {
-				return lat, events, queries, errs, werr
+				return lat, events, batches, queries, errs, werr
 			}
 			window = append(window, pending{size: sizes[bi]})
 			bi++
 			if o.QueryEvery > 0 && bi%o.QueryEvery == 0 {
 				if _, werr := w.Write(queryLine); werr != nil {
-					return lat, events, queries, errs, werr
+					return lat, events, batches, queries, errs, werr
 				}
 				window = append(window, pending{query: true})
 			}
 			if len(window) >= o.Pipeline {
 				if derr := drain(); derr != nil {
-					return lat, events, queries, errs, derr
+					return lat, events, batches, queries, errs, derr
 				}
 			}
 		}
 		if derr := drain(); derr != nil {
-			return lat, events, queries, errs, derr
+			return lat, events, batches, queries, errs, derr
 		}
 		if _, err := roundTrip(byeLine); err != nil {
-			return lat, events, queries, errs, err
+			return lat, events, batches, queries, errs, err
 		}
-		return lat, events, queries, errs, nil
+		return lat, events, batches, queries, errs, nil
 	}
 
 	retries := 0
@@ -466,7 +465,7 @@ func drive(o Options, p *plan) (lat []time.Duration, events, queries, errs uint6
 			}
 			acked, err := connect()
 			if err != nil {
-				return lat, events, queries, errs, err
+				return lat, events, batches, queries, errs, err
 			}
 			skipAcked(acked)
 			continue
@@ -474,19 +473,20 @@ func drive(o Options, p *plan) (lat []time.Duration, events, queries, errs uint6
 		resp, rerr := roundTrip(line)
 		if rerr != nil {
 			if !o.Reconnect {
-				return lat, events, queries, errs, rerr
+				return lat, events, batches, queries, errs, rerr
 			}
 			// The server went away underneath us: reconnect and resume
 			// from whatever it acknowledged.
 			acked, err := connect()
 			if err != nil {
-				return lat, events, queries, errs, err
+				return lat, events, batches, queries, errs, err
 			}
 			skipAcked(acked)
 			continue
 		}
 		if bytes.HasPrefix(resp, okPrefix) {
 			events += uint64(sizes[bi])
+			batches++
 			retries = 0
 		} else {
 			errs++
@@ -495,7 +495,7 @@ func drive(o Options, p *plan) (lat []time.Duration, events, queries, errs uint6
 				// skipping it would leave a permanent sequence gap.
 				retries++
 				if retries > 64 {
-					return lat, events, queries, errs,
+					return lat, events, batches, queries, errs,
 						fmt.Errorf("loadgen: batch %d rejected %d times: %s", bi+1, retries, resp)
 				}
 				time.Sleep(time.Duration(float64(o.Backoff) * (0.5 + rng.Float64())))
@@ -507,7 +507,7 @@ func drive(o Options, p *plan) (lat []time.Duration, events, queries, errs uint6
 			qStart := time.Now()
 			resp, err := roundTrip(queryLine)
 			if err != nil {
-				return lat, events, queries, errs, err
+				return lat, events, batches, queries, errs, err
 			}
 			if bytes.HasPrefix(resp, okPrefix) {
 				lat = append(lat, time.Since(qStart))
@@ -518,7 +518,7 @@ func drive(o Options, p *plan) (lat []time.Duration, events, queries, errs uint6
 		}
 	}
 	if _, err := roundTrip(byeLine); err != nil {
-		return lat, events, queries, errs, err
+		return lat, events, batches, queries, errs, err
 	}
-	return lat, events, queries, errs, nil
+	return lat, events, batches, queries, errs, nil
 }

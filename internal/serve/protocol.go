@@ -40,6 +40,12 @@ import (
 //	                           dropped=... total=... nnz=... conf=..."
 //	BYE                        close the connection ("OK bye")
 //
+// Responses come back in request order. On a durable server under
+// wal.SyncAlways an OK to an E line ("OK dup" included) means the batch
+// is durable: the acks of a pipelined burst are released together after
+// one fsync that covers them all, and if that fsync fails every request
+// of the burst is answered with the quarantine ERR instead.
+//
 // Limits: lines up to maxLineBytes (sized from MaxBatch so every legal
 // request fits), at most MaxBatch events per E line.
 const (
@@ -83,26 +89,29 @@ func (s *Server) Serve(l net.Listener) error {
 // ServeConn speaks the wire protocol on one connection until EOF, BYE, or
 // a slow-consumer hangup. The reader goroutine writes each response
 // directly into a pooled write buffer and flushes only when no further
-// request is already buffered, so pipelined responses coalesce into one
-// write. Every flush runs under Config.WriteTimeout: a client that
-// pipelines requests but never reads responses blocks the first full
-// flush, trips the deadline, and is disconnected — per-connection memory
-// stays bounded no matter how the peer behaves.
+// request is already buffered, so a pipelined burst is answered with one
+// write, behind one covering fsync on a durable server (see release).
+// Every flush runs under Config.WriteTimeout: a client that pipelines
+// requests but never reads responses blocks the first full flush, trips
+// the deadline, and is disconnected — per-connection memory stays bounded
+// no matter how the peer behaves.
 func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	rd := readerPool.Get().(*bufio.Reader)
 	rd.Reset(conn)
 	w := writerPool.Get().(*bufio.Writer)
 	w.Reset(conn)
+	sess := session{srv: s, conn: conn, rd: rd, w: w}
 	defer func() {
-		w.Flush()
+		if sess.held > 0 {
+			sess.release(nil)
+		}
 		rd.Reset(nil)
 		w.Reset(nil)
 		readerPool.Put(rd)
 		writerPool.Put(w)
 	}()
 
-	sess := session{srv: s}
 	resp := make([]byte, 0, 256)
 	for {
 		line, err := rd.ReadSlice('\n')
@@ -119,7 +128,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			resp = append(resp[:0], "ERR line exceeds "...)
 			resp = strconv.AppendInt(resp, maxLineBytes, 10)
 			resp = append(resp, " bytes"...)
-			if !s.writeResp(conn, w, rd, resp) {
+			if !sess.writeResp(resp) {
 				return
 			}
 			continue
@@ -135,35 +144,66 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 		var quit bool
 		resp, quit = sess.handle(trimEOL(line), resp[:0])
-		if !s.writeResp(conn, w, rd, resp) || quit || last {
+		if !sess.writeResp(resp) || quit || last {
 			return
 		}
 	}
 }
 
-// writeResp appends one response line to the connection's write buffer
-// under the write deadline, flushing when no further request is buffered.
-// It reports whether the connection is still usable.
-func (s *Server) writeResp(conn net.Conn, w *bufio.Writer, rd *bufio.Reader, resp []byte) bool {
-	// Arm the write deadline only when this response can actually touch
-	// the socket — the final response of a pipelined burst (flushed
-	// below) or one that overflows the write buffer. Mid-burst responses
-	// just land in the buffer, so they skip the timer update.
-	if rd.Buffered() == 0 || w.Available() < len(resp)+1 {
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+// writeResp adds one response line to the write buffer, where it stays
+// while further requests are buffered and it fits; otherwise it goes out
+// with every line held before it. It reports whether the connection is
+// still usable.
+func (sess *session) writeResp(resp []byte) bool {
+	if sess.rd.Buffered() > 0 && sess.w.Available() > len(resp) {
+		sess.held++
+		sess.w.Write(resp)
+		return sess.w.WriteByte('\n') == nil
 	}
-	if _, err := w.Write(resp); err != nil {
-		return false
+	return sess.release(resp)
+}
+
+// release flushes the held lines, then resp unless it is nil, once the
+// acks among them are durable: one covering fsync for the whole burst. If
+// that fsync fails no ack may escape, so the buffer is discarded and each
+// request it answered, resp's included, gets the quarantine ERR instead.
+// Every write that reaches the socket empties the buffer, so it only ever
+// holds complete unsent lines and the discard cannot tear one.
+func (sess *session) release(resp []byte) bool {
+	n := sess.held
+	if resp != nil {
+		n++
 	}
-	if err := w.WriteByte('\n'); err != nil {
-		return false
+	t, seq := sess.durT, sess.durSeq
+	sess.held, sess.durT, sess.durSeq = 0, nil, 0
+	var err error
+	if t != nil {
+		err = t.waitDurable(seq)
 	}
-	if rd.Buffered() == 0 {
-		if err := w.Flush(); err != nil {
-			return false
+	sess.conn.SetWriteDeadline(time.Now().Add(sess.srv.cfg.WriteTimeout))
+	if err != nil {
+		sess.w.Reset(sess.conn)
+		resp = appendErr(resp[:0], err)
+		for ; n > 1; n-- {
+			sess.w.Write(resp)
+			sess.w.WriteByte('\n')
 		}
 	}
-	return true
+	if resp != nil {
+		sess.w.Write(resp)
+		sess.w.WriteByte('\n')
+	}
+	return sess.w.Flush() == nil
+}
+
+// hold marks the response being built as an ack that waits for WAL seq
+// of t. Acks held for another tenant (the bound one was evicted and
+// re-created) go out first.
+func (sess *session) hold(t *tenant, seq uint64) {
+	if sess.durT != t && sess.durT != nil {
+		sess.release(nil)
+	}
+	sess.durT, sess.durSeq = t, max(sess.durSeq, seq)
 }
 
 // trimEOL strips the trailing "\n" or "\r\n" from one raw request line.
@@ -177,13 +217,21 @@ func trimEOL(line []byte) []byte {
 	return line
 }
 
-// session is the per-connection protocol state: the tenant and source the
-// connection is bound to, plus reusable parse scratch.
+// session is the per-connection protocol state: buffered IO, the tenant
+// and source the connection is bound to, and reusable parse scratch. held
+// counts the unsent response lines in w; the acks among them wait for WAL
+// seq durSeq of tenant durT (nil: none waits).
 type session struct {
 	srv    *Server
+	conn   net.Conn
+	rd     *bufio.Reader
+	w      *bufio.Writer
 	tenant string
 	source string
 	batch  []Event
+	held   int
+	durT   *tenant
+	durSeq uint64
 }
 
 // handle executes one request line, appends the one-line response to resp,
@@ -274,6 +322,9 @@ func (sess *session) handleHello(args, resp []byte) []byte {
 	if err := sess.srv.CreateTenant(tenant, threads); err != nil {
 		return appendErr(resp, err)
 	}
+	if sess.durT != nil {
+		sess.release(nil) // the held acks belong to the tenant being unbound
+	}
 	sess.tenant = tenant
 	sess.source = ""
 	if len(sourceTok) > 0 {
@@ -344,7 +395,10 @@ func (sess *session) handleEvents(args, resp []byte) []byte {
 		batch = append(batch, Event{Thread: thread, Page: vm.Page(page)})
 	}
 	sess.batch = batch
-	err := sess.srv.IngestFrom(sess.tenant, sess.source, seq, batch)
+	t, wait, err := sess.srv.ingest(sess.tenant, sess.source, seq, batch)
+	if wait != 0 {
+		sess.hold(t, wait)
+	}
 	if err != nil {
 		if errors.Is(err, ErrDuplicateBatch) {
 			// Idempotent retransmit: already applied, acknowledge without

@@ -123,11 +123,6 @@ type Config struct {
 	// inside every tenant's online mapper (tests install slow or exact
 	// mappers here).
 	Mapper mapping.Algorithm
-	// OutboxCap is retained for configuration compatibility but no longer
-	// used: responses are written inline by the reader goroutine into a
-	// pooled write buffer, and a client that stops reading trips
-	// WriteTimeout on the first full flush instead of filling an outbox.
-	OutboxCap int
 	// WriteTimeout bounds one response write on a connection
 	// (default 5s).
 	WriteTimeout time.Duration
@@ -178,9 +173,6 @@ func (c Config) withDefaults() Config {
 	if c.MinConfidence == 0 {
 		c.MinConfidence = mapping.DefaultMinConfidence
 	}
-	if c.OutboxCap <= 0 {
-		c.OutboxCap = 64
-	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 5 * time.Second
 	}
@@ -209,6 +201,7 @@ type Stats struct {
 	Degraded    uint64 // queries answered past the deadline with the last placement
 	Overloads   uint64 // Ingest calls rejected with ErrOverloaded
 	Quarantines uint64 // live tenants currently quarantined after a panic
+	Syncs       uint64 // WAL fsyncs run by group commit (wal.SyncAlways)
 }
 
 // Server is the mapping service: sharded tenant state plus the counters
@@ -219,10 +212,6 @@ type Server struct {
 	shards   []*shard
 	draining atomic.Bool
 	wg       sync.WaitGroup // live tenant appliers
-
-	// gc is the shared group-commit scheduler (nil unless the server is
-	// durable under wal.SyncAlways — see commit.go).
-	gc *committer
 
 	queries   atomic.Uint64
 	degraded  atomic.Uint64
@@ -237,9 +226,6 @@ func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, shards: make([]*shard, cfg.Shards)}
 	for i := range s.shards {
 		s.shards[i] = &shard{tenants: make(map[string]*tenant)}
-	}
-	if cfg.Dir != "" && cfg.Sync == wal.SyncAlways {
-		s.gc = newCommitter()
 	}
 	return s
 }
@@ -403,25 +389,43 @@ func (s *Server) Ingest(tenantID string, events []Event) error {
 // accepted one returns ErrDuplicateBatch WITHOUT re-applying — the safe
 // outcome when a client retries a batch whose ack was lost — and a seq
 // that skips ahead returns ErrSequenceGap. On a durable server the batch
-// is appended to the tenant's WAL before the call returns, so (under
-// wal.SyncAlways) an acknowledged batch survives a crash.
+// is appended to the tenant's WAL before the call returns, and under
+// wal.SyncAlways the call returns only once an fsync covers it, so an
+// acknowledged batch survives a crash.
 func (s *Server) IngestFrom(tenantID, source string, seq uint64, events []Event) error {
+	t, wait, err := s.ingest(tenantID, source, seq, events)
+	if wait != 0 {
+		if derr := t.waitDurable(wait); derr != nil {
+			return derr
+		}
+	}
+	return err
+}
+
+// ingest is IngestFrom without the durability wait: it validates, dedups,
+// enqueues and appends, and returns the tenant together with the WAL seq
+// its ack depends on — 0 when the ack may be released at once. Under
+// group commit that seq is the new batch's own, and for a duplicate it is
+// the newest append: an idempotent retransmit ack is still an ack, and it
+// must not outrun the fsync covering the batch it acknowledges. The
+// caller waits for it with waitDurable before the ack reaches the client.
+func (s *Server) ingest(tenantID, source string, seq uint64, events []Event) (*tenant, uint64, error) {
 	if s.draining.Load() {
-		return ErrDraining
+		return nil, 0, ErrDraining
 	}
 	if len(events) == 0 {
-		return nil
+		return nil, 0, nil
 	}
 	t, err := s.lookup(tenantID)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	if pe := t.quarantine.Load(); pe != nil {
-		return fmt.Errorf("%w: %q: %v", ErrTenantQuarantined, tenantID, pe.Value)
+		return nil, 0, fmt.Errorf("%w: %q: %v", ErrTenantQuarantined, tenantID, pe.Value)
 	}
 	for _, e := range events {
 		if e.Thread < 0 || int(e.Thread) >= t.threads {
-			return fmt.Errorf("%w: thread %d of tenant %q (threads 0..%d)",
+			return nil, 0, fmt.Errorf("%w: thread %d of tenant %q (threads 0..%d)",
 				ErrBadEvent, e.Thread, tenantID, t.threads-1)
 		}
 	}
@@ -431,9 +435,9 @@ func (s *Server) IngestFrom(tenantID, source string, seq uint64, events []Event)
 		// queue itself, so skip the ingest lock entirely.
 		if err := s.enqueue(t, b); err != nil {
 			recycleEvents(b.events)
-			return err
+			return nil, 0, err
 		}
-		return nil
+		return t, 0, nil
 	}
 
 	// Durable/sourced path. ingestMu makes dedup-check → enqueue → WAL
@@ -450,24 +454,18 @@ func (s *Server) IngestFrom(tenantID, source string, seq uint64, events []Event)
 	if source != "" {
 		last := t.sources[source]
 		if seq <= last {
-			waitSeq := t.lastAppend
+			var wait uint64
+			if t.groupCommit {
+				wait = t.lastAppend
+			}
 			t.ingestMu.Unlock()
 			recycleEvents(b.events)
-			// An idempotent retransmit ack is still an ack: under group
-			// commit it must not outrun the fsync covering the batch it
-			// acknowledges.
-			if t.groupCommit {
-				if derr := t.waitDurable(waitSeq); derr != nil {
-					t.quarantineErr(derr)
-					return fmt.Errorf("%w: %q: %v", ErrTenantQuarantined, tenantID, derr)
-				}
-			}
-			return fmt.Errorf("%w: %q seq %d already accepted (at %d)", ErrDuplicateBatch, source, seq, last)
+			return t, wait, fmt.Errorf("%w: %q seq %d already accepted (at %d)", ErrDuplicateBatch, source, seq, last)
 		}
 		if seq != last+1 {
 			t.ingestMu.Unlock()
 			recycleEvents(b.events)
-			return fmt.Errorf("%w: %q seq %d after %d", ErrSequenceGap, source, seq, last)
+			return nil, 0, fmt.Errorf("%w: %q seq %d after %d", ErrSequenceGap, source, seq, last)
 		}
 	}
 	if t.wlog != nil {
@@ -476,7 +474,7 @@ func (s *Server) IngestFrom(tenantID, source string, seq uint64, events []Event)
 	}
 	if err := s.enqueue(t, b); err != nil {
 		t.ingestMu.Unlock()
-		return err
+		return nil, 0, err
 	}
 	if t.wlog != nil {
 		var got uint64
@@ -495,7 +493,7 @@ func (s *Server) IngestFrom(tenantID, source string, seq uint64, events []Event)
 			// Fail stop for this tenant.
 			t.quarantineErr(werr)
 			t.ingestMu.Unlock()
-			return fmt.Errorf("%w: %q: %v", ErrTenantQuarantined, tenantID, werr)
+			return nil, 0, fmt.Errorf("%w: %q: %v", ErrTenantQuarantined, tenantID, werr)
 		}
 		t.lastAppend = got
 	}
@@ -503,17 +501,10 @@ func (s *Server) IngestFrom(tenantID, source string, seq uint64, events []Event)
 		t.sources[source] = seq
 	}
 	t.ingestMu.Unlock()
-	if t.groupCommit && b.seq != 0 {
-		// Release the ingest lock before blocking on durability: the whole
-		// point of group commit is that concurrent appends pile up while
-		// this fsync is in flight and ride the next one.
-		s.gc.schedule(t)
-		if derr := t.waitDurable(b.seq); derr != nil {
-			t.quarantineErr(derr)
-			return fmt.Errorf("%w: %q: %v", ErrTenantQuarantined, tenantID, derr)
-		}
+	if t.groupCommit {
+		return t, b.seq, nil
 	}
-	return nil
+	return t, 0, nil
 }
 
 // eventSlabs recycles batch buffers between the ingest path (which must
@@ -590,8 +581,7 @@ func (s *Server) SourceSeq(tenantID, source string) (uint64, error) {
 		// accepted batch, or a reconnecting client would skip past a batch
 		// a crash can still lose.
 		if err := t.waitDurable(waitSeq); err != nil {
-			t.quarantineErr(err)
-			return 0, fmt.Errorf("%w: %q: %v", ErrTenantQuarantined, tenantID, err)
+			return 0, err
 		}
 	}
 	return seq, nil
@@ -654,6 +644,7 @@ func (s *Server) Stats() Stats {
 			st.Rejected += t.rejected.Load()
 			st.LostSamples += t.lost.Load()
 			st.Storms += t.storms.Load()
+			st.Syncs += t.syncs.Load()
 		}
 		sh.mu.RUnlock()
 	}
@@ -694,12 +685,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-done:
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-	if s.gc != nil {
-		// Retire the group-commit scheduler after the appliers: any
-		// still-blocked ingest waiter is released by the queue drain, and
-		// later schedule calls sync inline.
-		s.gc.stop()
 	}
 	var errs []error
 	for _, sh := range s.shards {

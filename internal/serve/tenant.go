@@ -71,16 +71,20 @@ type tenant struct {
 
 	// Group commit (Config.Dir with wal.SyncAlways — see commit.go).
 	// lastAppend is the WAL seq of the newest accepted batch (under
-	// ingestMu); ackedDurable the newest seq covered by a completed fsync
-	// and commitErr the sticky fsync failure (both under commitMu);
-	// commitQueued is guarded by the committer's own mutex.
+	// ingestMu); syncing marks a leader's fsync in flight, ackedDurable
+	// the newest seq covered by a completed fsync and commitErr the
+	// sticky fsync failure (all three under commitMu); syncs counts the
+	// fsyncs the leaders ran.
 	groupCommit  bool
 	lastAppend   uint64
 	commitMu     sync.Mutex
 	commitCond   *sync.Cond
+	syncing      bool
 	ackedDurable uint64
 	commitErr    error
-	commitQueued bool
+	syncs        atomic.Uint64
+	// preSync/postSync run around each group-commit fsync. Test-only.
+	preSync, postSync func()
 
 	mu       sync.Mutex // guards everything below
 	tlbs     []*tlb.TLB
@@ -271,8 +275,9 @@ func (t *tenant) applyBatch(b batch) {
 	applied := 0
 	defer func() {
 		if r := recover(); r != nil {
-			t.quarantine.Store(&runner.PanicError{Value: r, Stack: debug.Stack()})
+			// Counters first: snapshot trusts them once the flag is up.
 			t.dropped.Add(uint64(len(b.events) - applied))
+			t.quarantine.Store(&runner.PanicError{Value: r, Stack: debug.Stack()})
 		}
 	}()
 	for _, e := range b.events {
@@ -339,6 +344,7 @@ func (t *tenant) shootdown() {
 
 // snapshot builds the consistent point-in-time view.
 func (t *tenant) snapshot() *TenantSnapshot {
+	pe := t.quarantine.Load() // before the counters: see applyBatch
 	snap := &TenantSnapshot{
 		ID:          t.id,
 		Threads:     t.threads,
@@ -350,7 +356,7 @@ func (t *tenant) snapshot() *TenantSnapshot {
 		Storms:      t.storms.Load(),
 		QueueLen:    len(t.queue),
 	}
-	if pe := t.quarantine.Load(); pe != nil {
+	if pe != nil {
 		snap.Quarantined = true
 		snap.PanicValue = pe.Value
 		snap.PanicStack = append([]byte(nil), pe.Stack...)

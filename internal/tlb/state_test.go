@@ -130,11 +130,11 @@ func TestTLBStateRejectsDamage(t *testing.T) {
 		return b
 	}
 	cases := map[string][]byte{
-		"empty":       {},
-		"short":       enc[:len(enc)-3],
-		"bad-valid":   corrupt(func(b []byte) { b[4 + 4 + 8*4] = 7 }),
-		"zero-ways":   corrupt(func(b []byte) { b[4], b[5], b[6], b[7] = 0, 0, 0, 0 }),
-		"wrong-set":   corrupt(func(b []byte) { b[4+4+8*4+1] ^= 0xFF }), // page low byte -> wrong set
+		"empty":     {},
+		"short":     enc[:len(enc)-3],
+		"bad-valid": corrupt(func(b []byte) { b[4+4+8*4] = 7 }),
+		"zero-ways": corrupt(func(b []byte) { b[4], b[5], b[6], b[7] = 0, 0, 0, 0 }),
+		"wrong-set": corrupt(func(b []byte) { b[4+4+8*4+1] ^= 0xFF }), // page low byte -> wrong set
 	}
 	for name, data := range cases {
 		if _, _, err := DecodeState(data); err == nil {

@@ -76,7 +76,7 @@ func TestHierarchyShapes(t *testing.T) {
 				}
 			}
 			for d := 0; d < tc.depth; d++ {
-				for _, c := range []int{0, 1, tc.cores/2 - 1, tc.cores/2, tc.cores - 1} {
+				for _, c := range []int{0, 1, tc.cores/2 - 1, tc.cores / 2, tc.cores - 1} {
 					want := c / tc.widths[d]
 					if d == tc.depth-1 {
 						want = 0 // the root spans everything

@@ -177,10 +177,10 @@ func TestCompileEdgeCases(t *testing.T) {
 			},
 		},
 		{
-			name:    "exact-quantum-then-done",
-			quantum: 8,
+			name:     "exact-quantum-then-done",
+			quantum:  8,
 			programs: []Program{func(t *Thread) { loads(t, 16) }},
-			want:    [][]batchShape{{{8, false, false}, {8, false, false}, {0, false, true}}},
+			want:     [][]batchShape{{{8, false, false}, {8, false, false}, {0, false, true}}},
 		},
 		{
 			name:    "uneven-exit-across-phases",

@@ -145,8 +145,8 @@ func NewTeam(programs []Program, quantum int) *Team {
 			// still only runs between receiving the token and sending its
 			// batch) but turns each hand-off into an asynchronous send plus
 			// a wake-up instead of a two-phase rendezvous.
-			out:     make(chan Batch, 1),
-			resume:  make(chan struct{}, 1),
+			out:    make(chan Batch, 1),
+			resume: make(chan struct{}, 1),
 		}
 		team.Threads[i] = t
 		go func(p Program, t *Thread) {

@@ -44,12 +44,12 @@ func FuzzWALRecovery(f *testing.F) {
 		bytes.Repeat([]byte{0xEE}, 100),
 		[]byte("tail"),
 	)
-	f.Add(base)                                // clean log
-	f.Add(base[:len(base)-3])                  // torn tail
-	f.Add(base[:recordHeader/2])               // torn header
-	f.Add([]byte{})                            // empty file
-	f.Add(bytes.Repeat([]byte{0xFF}, 64))      // garbage
-	flipped := append([]byte(nil), base...)    // checksum-breaking flip
+	f.Add(base)                             // clean log
+	f.Add(base[:len(base)-3])               // torn tail
+	f.Add(base[:recordHeader/2])            // torn header
+	f.Add([]byte{})                         // empty file
+	f.Add(bytes.Repeat([]byte{0xFF}, 64))   // garbage
+	flipped := append([]byte(nil), base...) // checksum-breaking flip
 	flipped[recordHeader+2] ^= 0x80
 	f.Add(flipped)
 	spliced := append(append([]byte(nil), base[:30]...), base...) // misaligned splice
