@@ -8,23 +8,6 @@ import (
 	"tlbmap/internal/topology"
 )
 
-// shardVariants are the execution-path variants every matrix cell is
-// crossed with: compiled replay, sharding at several worker counts, and
-// both combined. Each must produce a bit-identical Result to the serial
-// goroutine engine.
-type shardVariant struct {
-	name     string
-	compiled bool
-	workers  int
-}
-
-var shardVariants = []shardVariant{
-	{"compiled", true, 0},
-	{"sharded-2", false, 2},
-	{"sharded-5", false, 5},
-	{"compiled-sharded-3", true, 3},
-}
-
 // faultPlan parses a fault spec or fails the test.
 func faultPlan(t *testing.T, spec string, seed int64) fault.Plan {
 	t.Helper()
@@ -37,11 +20,11 @@ func faultPlan(t *testing.T, spec string, seed int64) fault.Plan {
 
 // TestShardedCompiledMatchSerial is the differential equivalence matrix of
 // the compile-and-replay engine: for every (pattern, mechanism, topology,
-// faults) cell, the serial goroutine run is the reference and every
-// variant's full Result — cycles, per-core counters, matrices, placements
-// — must match it exactly. The invariant suite stays armed throughout, so
-// a variant that corrupted architectural state would also fail its own
-// run, not just the comparison.
+// faults) cell, the goroutine run is the reference and the compiled
+// replay's full Result — cycles, per-core counters, matrices, placements —
+// must match it exactly. The invariant suite stays armed throughout, so a
+// replay that corrupted architectural state would also fail its own run,
+// not just the comparison.
 func TestShardedCompiledMatchSerial(t *testing.T) {
 	type cell struct {
 		name string
@@ -65,20 +48,17 @@ func TestShardedCompiledMatchSerial(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			base, err := Differential(c.cfg)
 			if err != nil {
-				t.Fatalf("serial reference: %v (violations %v)", err, base.Violations)
+				t.Fatalf("goroutine reference: %v (violations %v)", err, base.Violations)
 			}
-			for _, v := range shardVariants {
-				cfg := c.cfg
-				cfg.Compiled = v.compiled
-				cfg.ShardWorkers = v.workers
-				rep, err := Differential(cfg)
-				if err != nil {
-					t.Fatalf("%s: %v (violations %v)", v.name, err, rep.Violations)
-				}
-				if !reflect.DeepEqual(base.Result, rep.Result) {
-					t.Errorf("%s: Result diverged from serial engine\nserial:  %+v\nvariant: %+v",
-						v.name, base.Result, rep.Result)
-				}
+			cfg := c.cfg
+			cfg.Compiled = true
+			rep, err := Differential(cfg)
+			if err != nil {
+				t.Fatalf("compiled: %v (violations %v)", err, rep.Violations)
+			}
+			if !reflect.DeepEqual(base.Result, rep.Result) {
+				t.Errorf("compiled Result diverged from the goroutine engine\ngoroutine: %+v\ncompiled:  %+v",
+					base.Result, rep.Result)
 			}
 		})
 	}

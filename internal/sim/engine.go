@@ -103,27 +103,6 @@ type Config struct {
 	// here so per-job timeouts and Ctrl-C cancel in-flight simulations
 	// promptly.
 	Interrupt <-chan struct{}
-	// ShardWorkers enables deterministic intra-run sharding (shard.go):
-	// values above 1 partition the threads into that many contiguous
-	// shards whose workers predecode trace batches in parallel at
-	// quantum-epoch window barriers, while the commit loop stays serial
-	// and exact. The Result is byte-identical at every worker count —
-	// including 0/1, which select the plain serial engine — because the
-	// workers compute only pure functions of immutable batches into
-	// disjoint scratch. See DESIGN.md §14 for why the memory state
-	// machine itself cannot be parallelized without changing results.
-	ShardWorkers int
-	// ShardWindow is the quantum-epoch length in simulated cycles between
-	// shard barriers; zero selects DefaultShardWindow. Ignored unless
-	// ShardWorkers > 1. The window never affects results, only how often
-	// the workers get fresh batches to decode.
-	ShardWindow uint64
-	// useLinearPick forces the original Θ(threads) linear scheduler scan
-	// instead of the indexed min-heap ready queue. Test-only knob (the
-	// field is unexported; tests live in this package): the randomized
-	// differential test in sched_test.go runs every trace through both
-	// schedulers and asserts bit-identical event orders and Results.
-	useLinearPick bool
 }
 
 // Result carries everything a run produced.
@@ -160,7 +139,6 @@ type Result struct {
 type threadState struct {
 	batch     trace.Batch
 	idx       int // next event within batch
-	batchSeq  int // refill generation, for the shard predecode scratch
 	clock     uint64
 	atBarrier bool
 	done      bool
@@ -342,18 +320,6 @@ func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, erro
 			st.batch = src.Resume(i)
 		}
 		st.idx = 0
-		st.batchSeq++
-	}
-
-	// Deterministic intra-run sharding: shard workers predecode batches at
-	// quantum-epoch barriers on the simulated clock (shard.go). shardNext
-	// is the next barrier; serial runs park it at the unreachable maximum
-	// so the per-span check costs one always-false compare.
-	var shard *shardExec
-	shardNext := ^uint64(0)
-	if cfg.ShardWorkers > 1 {
-		shard = newShardExec(n, cfg.ShardWorkers, cfg.ShardWindow)
-		shardNext = shard.window
 	}
 
 	// Capability gating beyond the NullDetector fast path: detectors that
@@ -380,10 +346,8 @@ func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, erro
 	pendingFix := -1
 	for aliveCount > 0 {
 		var i int
-		limit := ^uint64(0)
-		if cfg.useLinearPick {
-			i = linearPick(states)
-		} else if pendingFix >= 0 {
+		var limit uint64
+		if pendingFix >= 0 {
 			i, limit = sched.fixAndPick(pendingFix)
 			pendingFix = -1
 		} else {
@@ -418,18 +382,6 @@ func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, erro
 		if !st.started {
 			refill(i)
 		}
-		if st.clock >= shardNext {
-			// Window barrier: the engine is quiescent between spans, so
-			// the shard workers can fan out over the thread states. Spans
-			// start in non-decreasing clock order, so every event already
-			// committed belongs to an earlier window (modulo the bounded
-			// overshoot of a span's final event, which only ever delays a
-			// barrier — never lets one observe mid-span state).
-			shard.precompute(states)
-			for shardNext += shard.window; st.clock >= shardNext; {
-				shardNext += shard.window
-			}
-		}
 
 		// Batched apply: run thread i's events in one tight span for as
 		// long as its rebuilt key stays below every other runnable
@@ -438,27 +390,23 @@ func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, erro
 		// instead of once per event, and the per-thread lookups (core,
 		// TLB hierarchy, counter bank) are hoisted out of the event loop.
 		// The resulting global event order is identical to per-event
-		// selection. The bound shifts with uniform clock charges (HM
-		// scans hit every key equally) and is invalidated by non-uniform
-		// ones (migration penalties, preemption stalls), which end the
-		// span. Under the linear-pick reference scheduler the bound is
-		// pinned to 0 so every span is one event, preserving the original
-		// per-event selection the differential test compares against.
-		// The bound is translated from packed-key space into raw clock
-		// space once per span — st.clock >= clockBound ⟺ key(i) >=
-		// nextKey() — so the per-event check is one integer compare
-		// instead of a key() call. ceil((limit-i)/2^idBits) is the
-		// smallest clock whose packed key reaches limit; a limit at or
-		// below the thread id can never be beaten (keys are ≥ the id),
-		// and the all-ones "sole runnable thread" sentinel maps to an
-		// unreachable bound.
+		// selection (TestHeapSchedulerMatchesLinear pins it to a frozen
+		// linear-scan oracle). The bound shifts with uniform clock
+		// charges (HM scans hit every key equally) and is invalidated by
+		// non-uniform ones (migration penalties, preemption stalls),
+		// which end the span. The bound is translated from packed-key
+		// space into raw clock space once per span — st.clock >=
+		// clockBound ⟺ key(i) >= nextKey() — so the per-event check is
+		// one integer compare instead of a key() call.
+		// ceil((limit-i)/2^idBits) is the smallest clock whose packed key
+		// reaches limit; a limit at or below the thread id can never be
+		// beaten (keys are ≥ the id), and the all-ones "sole runnable
+		// thread" sentinel maps to an unreachable bound.
 		var clockBound uint64
-		if !cfg.useLinearPick {
-			if limit == ^uint64(0) {
-				clockBound = ^uint64(0)
-			} else if limit > uint64(i) {
-				clockBound = (limit - uint64(i) + sched.idMask) >> sched.idBits
-			}
+		if limit == ^uint64(0) {
+			clockBound = ^uint64(0)
+		} else if limit > uint64(i) {
+			clockBound = (limit - uint64(i) + sched.idMask) >> sched.idBits
 		}
 		removed := false
 		core := placement[i]
@@ -470,12 +418,6 @@ func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, erro
 		events := st.batch.Events
 		idx := st.idx
 		clock := st.clock
-		// Predecoded pages for this batch, when the last shard barrier saw
-		// it; nil (inline decode) otherwise and in serial mode.
-		var prePages []vm.Page
-		if shard != nil {
-			prePages = shard.pages(i, st.batchSeq)
-		}
 		for {
 			if idx >= len(events) {
 				st.idx, st.clock = idx, clock
@@ -521,9 +463,6 @@ func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, erro
 					if !stalled {
 						events = st.batch.Events
 						idx = st.idx
-						if shard != nil {
-							prePages = shard.pages(i, st.batchSeq)
-						}
 						continue
 					}
 					// The stall moved this thread's clock: end the span
@@ -635,14 +574,8 @@ func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, erro
 			accesses++
 
 			// Address translation through the TLB hierarchy of the
-			// thread's current core (page predecoded by the shard workers
-			// when the last window barrier saw this batch).
-			var page vm.Page
-			if prePages != nil {
-				page = prePages[idx-1]
-			} else {
-				page = ev.Addr.Page()
-			}
+			// thread's current core.
+			page := ev.Addr.Page()
 			frame, where := h.Lookup(page)
 			// The TLBHits/TLBMisses counter banks are not touched here:
 			// the TLBs keep the same statistics themselves, so the banks

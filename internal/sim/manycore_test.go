@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"tlbmap/internal/comm"
+	"tlbmap/internal/runner"
 	"tlbmap/internal/tlb"
 	"tlbmap/internal/topology"
 	"tlbmap/internal/trace"
@@ -21,11 +23,19 @@ func oddMachine(cores int) *topology.Machine {
 	})
 }
 
+// oddSpace builds oddWorkload's address space and shared array without a
+// team. The allocation sequence is fixed, so every call maps the same
+// pages to the same frames and a trace compiled from any oddWorkload team
+// replays against it.
+func oddSpace() (*vm.AddressSpace, *trace.F64) {
+	as := vm.NewAddressSpace()
+	return as, trace.NewF64(as, 1<<13)
+}
+
 // oddWorkload: every thread sweeps a shared array so TLBs overlap across
 // all cores, exercising presence-index words past the first.
 func oddWorkload(n int) (*vm.AddressSpace, *trace.Team) {
-	as := vm.NewAddressSpace()
-	arr := trace.NewF64(as, 1<<13)
+	as, arr := oddSpace()
 	team := trace.SPMD(n, func(th *trace.Thread) {
 		for it := 0; it < 3; it++ {
 			for i := 0; i < 96; i++ {
@@ -101,4 +111,102 @@ func TestEngineAtNonPowerOfTwoCoreCounts(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestShardWorkerInvarianceManycore is the 256-core cell of the
+// compiled-vs-goroutine equivalence: a hierarchical manycore machine under
+// the HM detector, where the scheduler runs its heap representation. The
+// compiled replay must reproduce the goroutine engine's Result exactly.
+//
+// The harness compiles a kernel once and replays it from every job of a
+// worker pool. Each subtest shares the compiled trace between 2, 7 or 16
+// pool workers, each walking its own cursor over the 256 threads in a
+// different rotation; every cursor must serve exactly the batches of a
+// lone serial cursor, so every concurrent replay feeds the engine the
+// stream whose Result is checked here.
+func TestShardWorkerInvarianceManycore(t *testing.T) {
+	const n = 256
+	_, team := oddWorkload(n)
+	compiled := trace.Compile(team)
+	if raceEnabled {
+		// Minutes under the race detector's ~15-20x slowdown; the
+		// compiled path runs under -race in internal/check's
+		// TestShardedCompiledMatchSerial. The cursor subtests stay cheap
+		// and run.
+		t.Log("256-core engine runs skipped under -race")
+	} else {
+		machine := topology.Manycore(n)
+		config := func() Config {
+			return Config{
+				Machine:  machine,
+				Detector: comm.NewHMDetector(n, 50_000),
+				TLB:      tlb.Config{Entries: 32, Ways: 4},
+			}
+		}
+		as, team := oddWorkload(n)
+		base, err := Run(config(), as, team)
+		if err != nil {
+			t.Fatalf("goroutine engine: %v", err)
+		}
+		as, _ = oddSpace()
+		res, err := RunSource(config(), as, compiled.NewSource())
+		if err != nil {
+			t.Fatalf("compiled replay: %v", err)
+		}
+		if !reflect.DeepEqual(base, res) {
+			t.Fatal("compiled Result diverged from the goroutine engine")
+		}
+	}
+
+	ref := make([][]trace.Batch, n)
+	lone := compiled.NewSource()
+	for i := range ref {
+		for b := lone.Start(i); ; b = lone.Resume(i) {
+			ref[i] = append(ref[i], b)
+			if b.Done {
+				break
+			}
+		}
+	}
+	for _, workers := range []int{2, 7, 16} {
+		t.Run(fmt.Sprintf("workers-%d-compiled-true", workers), func(t *testing.T) {
+			err := runner.Run(runner.Pool{Workers: workers}, workers, func(j int) error {
+				return replayRotated(compiled.NewSource(), ref, j*n/workers)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// replayRotated drains src one batch per thread per round, visiting the
+// threads in rotation from first, and reports the first batch that
+// differs from ref.
+func replayRotated(src trace.Source, ref [][]trace.Batch, first int) error {
+	n := src.NumThreads()
+	served := make([]int, n)
+	for left := n; left > 0; {
+		for k := 0; k < n; k++ {
+			i := (first + k) % n
+			if served[i] == len(ref[i]) {
+				continue
+			}
+			var b trace.Batch
+			if served[i] == 0 {
+				b = src.Start(i)
+			} else {
+				b = src.Resume(i)
+			}
+			if !reflect.DeepEqual(b, ref[i][served[i]]) {
+				return fmt.Errorf("cursor from thread %d: thread %d batch %d differs from a lone cursor",
+					first, i, served[i])
+			}
+			served[i]++
+			if served[i] == len(ref[i]) {
+				left--
+			}
+		}
+	}
+	return nil
 }

@@ -10,7 +10,8 @@ import (
 // behind, with the lexicographic tie-break on the thread id reproducing,
 // event for event, the order the original linear scan produced (smallest
 // clock wins, equal clocks go to the lowest thread index), so golden files
-// and differential corpora stay byte-identical.
+// and differential corpora stay byte-identical. The scan survives as the
+// test reference in sched_test.go.
 //
 // The key is packed into one uint64 — clock<<idBits | id — so a
 // comparison is a single integer compare on a contiguous array instead of
@@ -356,25 +357,6 @@ func (h *schedHeap) siftDownKey(k int32, key uint64) bool {
 	}
 	h.moveKey(k, key)
 	return true
-}
-
-// linearPick is the original Θ(threads) scheduler selection, retained as
-// the reference implementation: the randomized differential test pits it
-// against the heap on seeded traces to guarantee the two produce identical
-// event orders. The engine uses it when Config.useLinearPick is set (test
-// helper only).
-func linearPick(states []threadState) int {
-	best := -1
-	for i := range states {
-		st := &states[i]
-		if st.done || st.atBarrier {
-			continue
-		}
-		if best == -1 || st.clock < states[best].clock {
-			best = i
-		}
-	}
-	return best
 }
 
 // frameBitset tracks which physical frames have had their memory placed on
