@@ -100,8 +100,8 @@ rm -rf "$CRASH_DIR" "$CRASH_BIN"
 
 # Scale smoke: one 256-core cell of the manycore scale study end-to-end
 # through the CLI — hierarchical topology generation, SM detection with
-# 256 threads, the sparse matrix representation and the multilevel mapper
-# all on the real path. timeout turns a scalability regression (a
+# 256 threads into a 256×256 matrix and the multilevel mapper all on the
+# real path. timeout turns a scalability regression (a
 # quadratic path sneaking back in) into a failure instead of a hang.
 timeout 300 go run ./cmd/experiments -exp scale -class S -bench CG -cores 256 -mappers multilevel,auto >/dev/null
 
@@ -115,3 +115,6 @@ go test ./internal/check -run=NONE -fuzz=FuzzEngineVsOracleFaults -fuzztime=10s
 go test ./internal/check -run=NONE -fuzz='FuzzReplayVsSerial$' -fuzztime=10s
 go test ./internal/mapping -run=NONE -fuzz=FuzzMultilevelVsBlossom -fuzztime=10s
 go test ./internal/wal -run=NONE -fuzz=FuzzWALRecovery -fuzztime=10s
+# Snapshot matrix decoder: arbitrary bytes never panic or allocate past
+# the expected thread count, and decode∘encode round-trips.
+go test ./internal/comm -run=NONE -fuzz=FuzzDecodeMatrix -fuzztime=10s

@@ -27,8 +27,9 @@
 // thread per core on the canonical manycore topology across the -cores
 // sweep, reporting detection throughput (events/sec), the detected
 // matrix's shape, and per -mappers entry the mapping wall time and the
-// mapped-vs-identity communication-cost ratio. -row-budget caps sparse
-// matrix rows to the K heaviest partners before mapping.
+// mapped-vs-identity communication-cost ratio. -row-budget K trims a copy
+// of each detected matrix to every row's K heaviest partners before
+// mapping, to measure what a top-K sketch costs in mapping quality.
 //
 // Ctrl-C cancels in-flight simulations promptly; -job-timeout (e.g. 90s)
 // additionally bounds each fault-study or scale-study cell, turning a
@@ -82,7 +83,7 @@ func main() {
 
 		cores     = flag.String("cores", "64,256", "core-count sweep of the -exp scale study (power-of-two multiples of 32)")
 		mappers   = flag.String("mappers", "", "mapper sweep of the -exp scale study: greedy,multilevel,auto,edmonds (default greedy,multilevel,auto)")
-		rowBudget = flag.Int("row-budget", 0, "-exp scale: cap each sparse matrix row to its N heaviest partners before mapping (0 = exact)")
+		rowBudget = flag.Int("row-budget", 0, "-exp scale: trim each detected matrix to every row's N heaviest partners before mapping (0 = exact)")
 
 		profiling = prof.Register(flag.CommandLine)
 	)

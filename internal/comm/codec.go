@@ -7,32 +7,29 @@ import (
 
 // Binary codec for matrices: the durability layer snapshots per-tenant
 // communication matrices into checkpoint blobs, so the encoding must be
-// deterministic (equal matrices encode to equal bytes regardless of
-// representation history) and must round-trip both representations and the
-// row budget exactly.
+// deterministic (equal matrices encode to equal bytes).
 //
 // Layout (all little-endian):
 //
 //	u32 n
-//	u8  flags (bit 0: sparse representation)
-//	u32 row budget
+//	u8  flags (written 0, ignored on decode)
+//	u32 row budget (written 0, must be 0 on decode)
 //	u64 nnz (non-zero upper-triangle cells)
 //	nnz × (u32 i, u32 j, u64 w)   in ascending (i, j) — ForEach order
 //
-// Only the upper triangle is stored; symmetry is restored on decode.
+// The flags byte and the budget are what remains of a retired hashed-row
+// representation and its accumulate-time row budget; keeping them keeps
+// older snapshots decodable. Only the upper triangle is stored.
 
-const matrixFlagSparse = 1
+// matrixHeaderBytes is the fixed header: n, flags, budget, nnz.
+const matrixHeaderBytes = 4 + 1 + 4 + 8
 
 // AppendBinary appends the matrix's deterministic binary encoding to buf
 // and returns the extended slice.
 func (m *Matrix) AppendBinary(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.n))
-	var flags byte
-	if m.rows != nil {
-		flags |= matrixFlagSparse
-	}
-	buf = append(buf, flags)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.budget))
+	buf = append(buf, 0)                           // flags
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // row budget
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.NNZ()))
 	m.ForEach(func(i, j int, w uint64) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(i))
@@ -42,38 +39,38 @@ func (m *Matrix) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// DecodeMatrix decodes a matrix encoded by AppendBinary from the front of
-// data, returning the matrix and the remaining bytes. Every structural
-// violation — short buffer, out-of-range indices, non-ascending cells — is
-// an error, never a panic: snapshot blobs are checksummed upstream, but
-// the decoder still refuses to build an invalid matrix from a valid-CRC
-// encoding of one.
-func DecodeMatrix(data []byte) (*Matrix, []byte, error) {
-	if len(data) < 4+1+4+8 {
+// DecodeMatrix decodes a matrix for n threads encoded by AppendBinary from
+// the front of data, returning the matrix and the remaining bytes. A
+// header for any other thread count is rejected before anything is
+// allocated: the matrix costs n²·8 bytes, so a damaged or hostile header
+// must not choose n. Every structural violation — short buffer,
+// out-of-range indices, non-ascending cells — is an error, never a
+// panic: snapshot blobs are checksummed upstream, but the decoder still
+// refuses to build an invalid matrix from a valid-CRC encoding of one.
+func DecodeMatrix(data []byte, n int) (*Matrix, []byte, error) {
+	if len(data) < matrixHeaderBytes {
 		return nil, nil, fmt.Errorf("comm: matrix decode: short header (%d bytes)", len(data))
 	}
-	n := int(binary.LittleEndian.Uint32(data[0:4]))
-	flags := data[4]
-	budget := int(binary.LittleEndian.Uint32(data[5:9]))
-	nnz := binary.LittleEndian.Uint64(data[9:17])
-	data = data[17:]
-	if n <= 0 || n > 1<<24 {
+	if n <= 0 {
 		return nil, nil, fmt.Errorf("comm: matrix decode: invalid thread count %d", n)
 	}
-	if nnz > uint64(n)*uint64(n) {
-		return nil, nil, fmt.Errorf("comm: matrix decode: nnz %d exceeds %d×%d", nnz, n, n)
+	if got := binary.LittleEndian.Uint32(data[0:4]); uint64(got) != uint64(n) {
+		return nil, nil, fmt.Errorf("comm: matrix decode: matrix for %d threads, want %d", got, n)
 	}
-	var m *Matrix
-	if flags&matrixFlagSparse != 0 {
-		m = NewSparseMatrix(n)
-	} else {
-		m = NewDenseMatrix(n)
+	if budget := binary.LittleEndian.Uint32(data[5:9]); budget != 0 {
+		return nil, nil, fmt.Errorf("comm: matrix decode: unsupported row budget %d", budget)
 	}
+	nnz := binary.LittleEndian.Uint64(data[9:17])
+	data = data[matrixHeaderBytes:]
+	if nnz > uint64(n)*uint64(n-1)/2 {
+		return nil, nil, fmt.Errorf("comm: matrix decode: nnz %d exceeds the %d-thread upper triangle", nnz, n)
+	}
+	if nnz > uint64(len(data)/16) {
+		return nil, nil, fmt.Errorf("comm: matrix decode: %d cells truncated to %d bytes", nnz, len(data))
+	}
+	m := NewMatrix(n)
 	prevI, prevJ := -1, -1
 	for k := uint64(0); k < nnz; k++ {
-		if len(data) < 16 {
-			return nil, nil, fmt.Errorf("comm: matrix decode: truncated at cell %d of %d", k, nnz)
-		}
 		i := int(binary.LittleEndian.Uint32(data[0:4]))
 		j := int(binary.LittleEndian.Uint32(data[4:8]))
 		w := binary.LittleEndian.Uint64(data[8:16])
@@ -90,13 +87,6 @@ func DecodeMatrix(data []byte) (*Matrix, []byte, error) {
 		prevI, prevJ = i, j
 		m.Set(i, j, w)
 	}
-	// The budget is installed after the cells. An honest encoding's rows
-	// already satisfy it (they were trimmed before encoding) so this never
-	// evicts; SetRowBudget still re-trims, so even a crafted over-budget
-	// encoding cannot smuggle in a matrix that violates its own budget.
-	if budget > 0 {
-		m.SetRowBudget(budget)
-	}
 	return m, data, nil
 }
 
@@ -110,8 +100,9 @@ func AppendOptionalMatrix(buf []byte, m *Matrix) []byte {
 	return m.AppendBinary(buf)
 }
 
-// DecodeOptionalMatrix decodes what AppendOptionalMatrix wrote.
-func DecodeOptionalMatrix(data []byte) (*Matrix, []byte, error) {
+// DecodeOptionalMatrix decodes what AppendOptionalMatrix wrote; a present
+// matrix must be for n threads, as in DecodeMatrix.
+func DecodeOptionalMatrix(data []byte, n int) (*Matrix, []byte, error) {
 	if len(data) < 1 {
 		return nil, nil, fmt.Errorf("comm: optional matrix decode: empty buffer")
 	}
@@ -120,7 +111,7 @@ func DecodeOptionalMatrix(data []byte) (*Matrix, []byte, error) {
 	case 0:
 		return nil, data, nil
 	case 1:
-		return DecodeMatrix(data)
+		return DecodeMatrix(data, n)
 	default:
 		return nil, nil, fmt.Errorf("comm: optional matrix decode: bad presence byte %d", present)
 	}

@@ -224,24 +224,7 @@ type HMDetector struct {
 	binding indexBinding
 	holders []int32
 	indexed uint64
-
-	// pairBuf batches scan pair counts in a dense n×n scratch, folded into
-	// the matrix only when Matrix() is read. On manycore machines the
-	// per-page holder sets overlap heavily, so the same pairs recur across
-	// pages and across scans; routing every one through the sparse matrix
-	// costs two map writes each and dominates the run. The scratch turns
-	// them into array adds and defers the map writes to the (rare) reads.
-	// Every reader and mutator goes through Matrix(), so the fold lands
-	// exactly the additions an unbuffered scan would have applied by that
-	// point, and addition commutes — the observable matrix is identical.
-	pairBuf []uint64
-	pending bool
 }
-
-// maxPairScratch bounds the cores for which the scan keeps a dense n²
-// scratch (512 cores = 2 MiB). Beyond it — where the sparse matrix exists
-// precisely to avoid n² memory — pairs go straight to the matrix.
-const maxPairScratch = 512
 
 // NewHMDetector builds an HM detector for n threads scanning every interval
 // cycles (the paper uses 10,000,000 on runs lasting billions of cycles; use
@@ -333,20 +316,16 @@ func (d *HMDetector) pairwiseScan(tlbs TLBView) {
 // set under a shared geometry), and matrix addition commutes, so the
 // accumulated matrix is byte-identical. Walk batches runs of pages with
 // equal holder masks, so a dense shared working set costs a handful of
-// pair updates rather than one per page.
+// pair updates rather than one per page. The pair loop adds into the
+// matrix's upper-triangle cells directly: it is the hottest loop of a
+// manycore HM run, and a call per pair costs more than the add.
 func (d *HMDetector) indexedScan() {
 	threadOf := d.binding.threadOf
 	if cap(d.holders) < len(threadOf) {
 		d.holders = make([]int32, len(threadOf))
 	}
 	holders := d.holders[:cap(d.holders)]
-	n := d.matrix.N()
-	// The top-k sketch trims rows as they grow, so its content depends on
-	// the order of additions; only the exact matrix may batch.
-	buffered := n <= maxPairScratch && d.matrix.RowBudget() == 0
-	if buffered && len(d.pairBuf) < n*n {
-		d.pairBuf = make([]uint64, n*n)
-	}
+	n, cells := d.matrix.n, d.matrix.cells
 	d.binding.ix.Walk(func(mask []uint64, count int) {
 		cnt := 0
 		for w, word := range mask {
@@ -360,47 +339,20 @@ func (d *HMDetector) indexedScan() {
 				}
 			}
 		}
-		if cnt < 2 {
-			return
-		}
 		c := uint64(count)
-		if buffered {
-			d.pending = true
-			for a := 0; a < cnt-1; a++ {
-				i := int(holders[a])
-				for b := a + 1; b < cnt; b++ {
-					j := int(holders[b])
-					if j < i {
-						d.pairBuf[j*n+i] += c
-					} else {
-						d.pairBuf[i*n+j] += c
-					}
-				}
-			}
-			return
-		}
 		for a := 0; a < cnt-1; a++ {
+			i := int(holders[a])
 			for b := a + 1; b < cnt; b++ {
-				d.matrix.Add(int(holders[a]), int(holders[b]), c)
+				// Holders are distinct threads, so i != j: the
+				// diagonal is never written.
+				if j := int(holders[b]); j < i {
+					cells[j*n+i] += c
+				} else {
+					cells[i*n+j] += c
+				}
 			}
 		}
 	})
-}
-
-// flushPairs folds the buffered scan counts into the matrix, in
-// deterministic upper-triangle order, and re-zeroes the scratch.
-func (d *HMDetector) flushPairs() {
-	d.pending = false
-	n := d.matrix.N()
-	for i := 0; i < n-1; i++ {
-		row := d.pairBuf[i*n : (i+1)*n]
-		for j := i + 1; j < n; j++ {
-			if w := row[j]; w != 0 {
-				d.matrix.Add(i, j, w)
-				row[j] = 0
-			}
-		}
-	}
 }
 
 // UsePresenceIndex implements PresenceIndexUser.
@@ -411,12 +363,7 @@ func (d *HMDetector) UsePresenceIndex(ix *tlb.PresenceIndex) { d.binding.use(ix)
 func (d *HMDetector) IndexedScans() uint64 { return d.indexed }
 
 // Matrix implements Detector.
-func (d *HMDetector) Matrix() *Matrix {
-	if d.pending {
-		d.flushPairs()
-	}
-	return d.matrix
-}
+func (d *HMDetector) Matrix() *Matrix { return d.matrix }
 
 // Searches implements Detector.
 func (d *HMDetector) Searches() uint64 { return d.searches }

@@ -7,197 +7,109 @@
 package comm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"tlbmap/internal/stats"
 )
-
-// DefaultSparseThreshold is the thread count at which NewMatrix switches
-// from the dense row-major array to the per-row hashmap representation. A
-// 256-thread dense matrix is 512 KiB and still cache-friendly; beyond that
-// the Θ(T²) footprint starts to dominate and real communication matrices
-// are sparse (each thread talks to a bounded neighborhood), so the hybrid
-// pays off.
-const DefaultSparseThreshold = 256
-
-// sparseThreshold is the live threshold. Atomic so differential tests can
-// force either representation while parallel harness workers allocate
-// matrices.
-var sparseThreshold atomic.Int64
-
-func init() { sparseThreshold.Store(DefaultSparseThreshold) }
-
-// SetSparseThreshold overrides the representation switch-over point and
-// returns the previous value so callers can restore it (tests forcing the
-// sparse path at small T, or the dense path at large T).
-func SetSparseThreshold(n int) int {
-	return int(sparseThreshold.Swap(int64(n)))
-}
-
-// SparseThreshold returns the current representation switch-over point.
-func SparseThreshold() int { return int(sparseThreshold.Load()) }
 
 // Matrix is a symmetric N x N communication matrix: cell (i, j) accumulates
 // the amount of communication detected between threads i and j. The
 // diagonal is unused (a thread does not communicate with itself).
 //
-// Storage is hybrid: below the sparse threshold cells live in a dense
-// row-major array; at or above it each row is an open hashmap holding only
-// the non-zero cells, with both mirror halves stored so At stays one
-// lookup. The two representations are observationally identical — every
-// accessor, renderer and serializer produces byte-identical output for
-// equal contents — which the randomized differential suite enforces.
+// Storage is one dense row-major n×n array holding each pair once, in the
+// upper triangle: every accessor orders (i, j) so that i < j, and the lower
+// triangle and the diagonal are never written. Detected matrices are
+// nearly full at the sizes this code maps (up to 1024 threads), so the
+// fixed n²·8 bytes cost little and keep Add small enough to inline.
 type Matrix struct {
 	n     int
-	cells []uint64           // dense: row-major n*n, kept symmetric; nil when sparse
-	rows  []map[int32]uint64 // sparse: rows[i][j] = w, mirrored; nil when dense
-	// budget, when non-zero, bounds every sparse row to its budget
-	// heaviest partners (top-k row sketching): the matrix degrades from
-	// exact to a bounded-memory sketch. Zero means exact.
-	budget int
+	cells []uint64 // row-major n*n; only cells[i*n+j] with i < j are written
 }
 
-// NewMatrix returns an all-zero matrix for n threads, choosing the dense
-// representation below the sparse threshold and the hashmap representation
-// at or above it.
+// NewMatrix returns an all-zero matrix for n threads.
 func NewMatrix(n int) *Matrix {
-	if n >= SparseThreshold() {
-		return NewSparseMatrix(n)
-	}
-	return NewDenseMatrix(n)
-}
-
-// NewDenseMatrix returns an all-zero matrix in the dense representation
-// regardless of the threshold.
-func NewDenseMatrix(n int) *Matrix {
 	if n <= 0 {
 		panic(fmt.Sprintf("comm: invalid thread count %d", n))
 	}
 	return &Matrix{n: n, cells: make([]uint64, n*n)}
 }
 
-// NewSparseMatrix returns an all-zero matrix in the per-row hashmap
-// representation regardless of the threshold.
-func NewSparseMatrix(n int) *Matrix {
-	if n <= 0 {
-		panic(fmt.Sprintf("comm: invalid thread count %d", n))
-	}
-	m := &Matrix{n: n, rows: make([]map[int32]uint64, n)}
-	for i := range m.rows {
-		m.rows[i] = make(map[int32]uint64)
-	}
-	return m
-}
-
-// emptyLike returns an all-zero matrix with the receiver's size and
-// representation (but not its row budget).
-func (m *Matrix) emptyLike() *Matrix {
-	if m.rows != nil {
-		return NewSparseMatrix(m.n)
-	}
-	return NewDenseMatrix(m.n)
-}
-
 // N returns the number of threads.
 func (m *Matrix) N() int { return m.n }
 
-// IsSparse reports whether the matrix uses the hashmap representation.
-func (m *Matrix) IsSparse() bool { return m.rows != nil }
-
-// SetRowBudget bounds every sparse row to the k heaviest partners seen so
-// far and from now on (top-k row sketching): whenever a row exceeds the
-// budget its lightest cell — and the mirror cell — is evicted. k <= 0
-// restores exact accumulation. Dense matrices ignore the budget; it exists
-// so thousand-thread studies can cap detector memory at O(T·k).
-func (m *Matrix) SetRowBudget(k int) {
-	if k < 0 {
-		k = 0
-	}
-	m.budget = k
-	if m.budget > 0 && m.rows != nil {
-		for i := range m.rows {
-			m.trimRow(i)
-		}
-	}
-}
-
-// RowBudget returns the current top-k row budget (0 means exact).
-func (m *Matrix) RowBudget() int { return m.budget }
-
 // At returns the communication between threads i and j.
 func (m *Matrix) At(i, j int) uint64 {
-	if m.rows != nil {
-		return m.rows[i][int32(j)]
+	if i > j {
+		i, j = j, i
 	}
 	return m.cells[i*m.n+j]
 }
 
-// Add accumulates w units of communication between threads i and j,
-// keeping the matrix symmetric. Adding to the diagonal is a no-op.
+// Add accumulates w units of communication between threads i and j.
+// Adding to the diagonal is a no-op.
 func (m *Matrix) Add(i, j int, w uint64) {
-	if i == j || w == 0 {
+	if i == j {
 		return
 	}
-	if m.rows != nil {
-		m.rows[i][int32(j)] += w
-		m.rows[j][int32(i)] += w
-		if m.budget > 0 {
-			m.trimRow(i)
-			m.trimRow(j)
-		}
-		return
+	if i > j {
+		i, j = j, i
 	}
 	m.cells[i*m.n+j] += w
-	m.cells[j*m.n+i] += w
 }
 
 // Inc accumulates one unit of communication between threads i and j.
 func (m *Matrix) Inc(i, j int) { m.Add(i, j, 1) }
 
-// Set overwrites the communication between threads i and j, keeping the
-// matrix symmetric. Setting the diagonal is a no-op. Detectors only ever
-// accumulate; Set exists for matrix post-processing — fixtures, and the
-// fault layer's bit-decay/saturation corruption.
+// Set overwrites the communication between threads i and j. Setting the
+// diagonal is a no-op. Detectors only ever accumulate; Set exists for
+// matrix post-processing — fixtures, KeepHeaviest, and the fault layer's
+// bit-decay/saturation corruption.
 func (m *Matrix) Set(i, j int, w uint64) {
 	if i == j {
 		return
 	}
-	if m.rows != nil {
-		if w == 0 {
-			delete(m.rows[i], int32(j))
-			delete(m.rows[j], int32(i))
-			return
-		}
-		m.rows[i][int32(j)] = w
-		m.rows[j][int32(i)] = w
-		if m.budget > 0 {
-			m.trimRow(i)
-			m.trimRow(j)
-		}
-		return
+	if i > j {
+		i, j = j, i
 	}
 	m.cells[i*m.n+j] = w
-	m.cells[j*m.n+i] = w
 }
 
-// trimRow evicts the lightest cells of a sparse row (mirror cells
-// included) until the row fits the budget. Ties evict the higher column,
-// so eviction order is deterministic.
-func (m *Matrix) trimRow(r int) {
-	row := m.rows[r]
-	for len(row) > m.budget {
-		victim := int32(-1)
-		var low uint64
-		for c, w := range row {
-			if victim < 0 || w < low || (w == low && c > victim) {
-				victim, low = c, w
+// KeepHeaviest trims the matrix to a top-k row sketch: rows are visited in
+// index order, and in each row the lightest cells — the higher column
+// first among equal weights — are zeroed until at most k partners remain.
+// A zeroed cell leaves both threads' rows, so a later row counts only the
+// partners that survived the rows before it. k <= 0 keeps every cell.
+func (m *Matrix) KeepHeaviest(k int) {
+	if k <= 0 {
+		return
+	}
+	type partner struct {
+		col int
+		w   uint64
+	}
+	var row []partner
+	for r := 0; r < m.n; r++ {
+		row = row[:0]
+		for c := 0; c < m.n; c++ {
+			if w := m.At(r, c); w != 0 {
+				row = append(row, partner{c, w})
 			}
 		}
-		delete(row, victim)
-		delete(m.rows[victim], int32(r))
+		if len(row) <= k {
+			continue
+		}
+		slices.SortFunc(row, func(a, b partner) int {
+			if a.w != b.w {
+				return cmp.Compare(a.w, b.w)
+			}
+			return cmp.Compare(b.col, a.col)
+		})
+		for _, p := range row[:len(row)-k] {
+			m.Set(r, p.col, 0)
+		}
 	}
 }
 
@@ -205,35 +117,22 @@ func (m *Matrix) trimRow(r int) {
 // thread pairs).
 func (m *Matrix) NNZ() int {
 	count := 0
-	m.ForEach(func(_, _ int, _ uint64) { count++ })
+	for _, w := range m.cells {
+		if w != 0 {
+			count++
+		}
+	}
 	return count
 }
 
 // ForEach visits every non-zero upper-triangle cell (i < j) in ascending
-// (i, j) order, identically for both representations. It is the sparse-
-// aware iteration primitive: mapping cost and graph construction use it to
-// run in O(non-zeros) instead of Θ(T²).
+// (i, j) order. Mapping cost and graph construction use it to touch only
+// the communicating pairs.
 func (m *Matrix) ForEach(fn func(i, j int, w uint64)) {
-	if m.rows != nil {
-		var cols []int32
-		for i := 0; i < m.n; i++ {
-			cols = cols[:0]
-			for c := range m.rows[i] {
-				if int(c) > i {
-					cols = append(cols, c)
-				}
-			}
-			slices.Sort(cols)
-			for _, c := range cols {
-				fn(i, int(c), m.rows[i][c])
-			}
-		}
-		return
-	}
 	for i := 0; i < m.n; i++ {
-		base := i * m.n
+		row := m.cells[i*m.n : (i+1)*m.n]
 		for j := i + 1; j < m.n; j++ {
-			if w := m.cells[base+j]; w != 0 {
+			if w := row[j]; w != 0 {
 				fn(i, j, w)
 			}
 		}
@@ -243,18 +142,8 @@ func (m *Matrix) ForEach(fn func(i, j int, w uint64)) {
 // Total returns the sum over the upper triangle (each pair counted once).
 func (m *Matrix) Total() uint64 {
 	var t uint64
-	if m.rows != nil {
-		for i := range m.rows {
-			for _, w := range m.rows[i] {
-				t += w
-			}
-		}
-		return t / 2 // each pair is mirrored
-	}
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			t += m.cells[i*m.n+j]
-		}
+	for _, w := range m.cells {
+		t += w
 	}
 	return t
 }
@@ -262,65 +151,22 @@ func (m *Matrix) Total() uint64 {
 // Max returns the largest cell value.
 func (m *Matrix) Max() uint64 {
 	var mx uint64
-	if m.rows != nil {
-		for i := range m.rows {
-			for _, w := range m.rows[i] {
-				if w > mx {
-					mx = w
-				}
-			}
-		}
-		return mx
-	}
-	for _, c := range m.cells {
-		if c > mx {
-			mx = c
-		}
+	for _, w := range m.cells {
+		mx = max(mx, w)
 	}
 	return mx
 }
 
-// Clone returns a deep copy (same representation, same row budget).
+// Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
-	out := m.emptyLike()
-	out.budget = m.budget
-	if m.rows != nil {
-		for i := range m.rows {
-			out.rows[i] = make(map[int32]uint64, len(m.rows[i]))
-			for c, w := range m.rows[i] {
-				out.rows[i][c] = w
-			}
-		}
-		return out
-	}
-	copy(out.cells, m.cells)
-	return out
+	return &Matrix{n: m.n, cells: slices.Clone(m.cells)}
 }
 
 // Equal reports whether two matrices have the same size and identical
-// cells. Representation (dense vs sparse) and row budget do not
-// participate: a dense matrix equals a sparse one with the same contents.
-// It is the byte-identical comparison of the differential and soak tests —
-// two equal matrices render, serialize and map identically.
+// cells. It is the byte-identical comparison of the differential and soak
+// tests — two equal matrices render, serialize and map identically.
 func (m *Matrix) Equal(other *Matrix) bool {
-	if other == nil || other.n != m.n {
-		return false
-	}
-	equal := true
-	m.ForEach(func(i, j int, w uint64) {
-		if other.At(i, j) != w {
-			equal = false
-		}
-	})
-	if !equal {
-		return false
-	}
-	other.ForEach(func(i, j int, w uint64) {
-		if m.At(i, j) != w {
-			equal = false
-		}
-	})
-	return equal
+	return other != nil && other.n == m.n && slices.Equal(m.cells, other.cells)
 }
 
 // Sub returns m - base cell-wise (saturating at zero). With a cumulative
@@ -333,35 +179,17 @@ func (m *Matrix) Sub(base *Matrix) *Matrix {
 	if base.n != m.n {
 		return nil
 	}
-	out := m.emptyLike()
-	if m.rows == nil && base.rows == nil {
-		for i := range m.cells {
-			if m.cells[i] > base.cells[i] {
-				out.cells[i] = m.cells[i] - base.cells[i]
-			}
+	out := NewMatrix(m.n)
+	for i, w := range m.cells {
+		if bw := base.cells[i]; w > bw {
+			out.cells[i] = w - bw
 		}
-		return out
 	}
-	m.ForEach(func(i, j int, w uint64) {
-		if bv := base.At(i, j); w > bv {
-			out.Set(i, j, w-bv)
-		}
-	})
 	return out
 }
 
 // Reset zeroes every cell.
-func (m *Matrix) Reset() {
-	if m.rows != nil {
-		for i := range m.rows {
-			m.rows[i] = make(map[int32]uint64)
-		}
-		return
-	}
-	for i := range m.cells {
-		m.cells[i] = 0
-	}
-}
+func (m *Matrix) Reset() { clear(m.cells) }
 
 // Flatten returns the upper triangle (i < j) as float64s in row order,
 // the vector form used for similarity scoring.

@@ -32,10 +32,10 @@ type ScaleStudyConfig struct {
 	// progress note) above mapping.DefaultAutoThreshold cores — O(T³)
 	// per hierarchy level is exactly what the study exists to avoid.
 	Mappers []string
-	// RowBudget, when positive, caps each sparse matrix row to its
-	// RowBudget heaviest partners before mapping (top-k sketching),
-	// modelling bounded detector memory at scale. 0 maps the exact
-	// matrix.
+	// RowBudget, when positive, trims a copy of each detected matrix to
+	// its RowBudget heaviest partners per row (comm.Matrix.KeepHeaviest)
+	// before mapping, to measure what a top-k sketch costs in mapping
+	// quality. 0 maps the exact matrix.
 	RowBudget int
 	// JobTimeout bounds each study cell (0 = no limit).
 	JobTimeout time.Duration
@@ -67,10 +67,9 @@ type ScaleRow struct {
 	// EventsPerSec is the detection run's simulation throughput:
 	// simulated accesses per wall-clock second.
 	EventsPerSec float64
-	// NNZ and Sparse describe the detected matrix: communicating pairs
-	// and whether the hybrid chose the sparse representation.
-	NNZ    int
-	Sparse bool
+	// NNZ counts the communicating pairs of the mapped matrix (after the
+	// row budget, if any).
+	NNZ int
 	// Mapper names the algorithm of this row.
 	Mapper string
 	// MapMillis is the wall-clock mapping time.
@@ -182,9 +181,9 @@ func (c ScaleStudyConfig) runCell(cell scaleCell) ([]ScaleRow, error) {
 	}
 
 	m := det.Matrix
-	if c.RowBudget > 0 && m.IsSparse() {
+	if c.RowBudget > 0 {
 		m = m.Clone()
-		m.SetRowBudget(c.RowBudget)
+		m.KeepHeaviest(c.RowBudget)
 	}
 	identity := make([]int, cell.cores)
 	for i := range identity {
@@ -218,7 +217,6 @@ func (c ScaleStudyConfig) runCell(cell scaleCell) ([]ScaleRow, error) {
 			Cores:        cell.cores,
 			EventsPerSec: eventsPerSec,
 			NNZ:          m.NNZ(),
-			Sparse:       m.IsSparse(),
 			Mapper:       name,
 			MapMillis:    float64(mapWall.Microseconds()) / 1000,
 			CostRatio:    ratio,
@@ -234,14 +232,10 @@ func RenderScaleStudy(rows []ScaleRow) string {
 	fmt.Fprintln(&b, "events/sec: simulated accesses per wall-clock second of the detection run")
 	fmt.Fprintln(&b, "ratio: mapped communication cost / identity placement cost (lower is better)")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "App\tcores\tevents/sec\tnnz\tmatrix\tmapper\tmap-ms\tratio")
+	fmt.Fprintln(w, "App\tcores\tevents/sec\tnnz\tmapper\tmap-ms\tratio")
 	for _, r := range rows {
-		repr := "dense"
-		if r.Sparse {
-			repr = "sparse"
-		}
-		fmt.Fprintf(w, "%s\t%d\t%.3g\t%d\t%s\t%s\t%.1f\t%.3f\n",
-			r.Benchmark, r.Cores, r.EventsPerSec, r.NNZ, repr, r.Mapper, r.MapMillis, r.CostRatio)
+		fmt.Fprintf(w, "%s\t%d\t%.3g\t%d\t%s\t%.1f\t%.3f\n",
+			r.Benchmark, r.Cores, r.EventsPerSec, r.NNZ, r.Mapper, r.MapMillis, r.CostRatio)
 	}
 	w.Flush()
 	return b.String()
@@ -251,7 +245,7 @@ func RenderScaleStudy(rows []ScaleRow) string {
 func WriteScaleStudyCSV(w io.Writer, rows []ScaleRow) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
-		"benchmark", "cores", "events_per_sec", "nnz", "sparse",
+		"benchmark", "cores", "events_per_sec", "nnz",
 		"mapper", "map_ms", "cost_ratio",
 	}); err != nil {
 		return err
@@ -260,8 +254,7 @@ func WriteScaleStudyCSV(w io.Writer, rows []ScaleRow) error {
 	for _, r := range rows {
 		rec := []string{
 			r.Benchmark, strconv.Itoa(r.Cores), f(r.EventsPerSec),
-			strconv.Itoa(r.NNZ), strconv.FormatBool(r.Sparse),
-			r.Mapper, f(r.MapMillis), f(r.CostRatio),
+			strconv.Itoa(r.NNZ), r.Mapper, f(r.MapMillis), f(r.CostRatio),
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

@@ -12,13 +12,13 @@ import (
 // carry made-up values so the goldens pin layout, not timing.
 func fixtureScaleRows() []ScaleRow {
 	return []ScaleRow{
-		{Benchmark: "CG", Cores: 64, EventsPerSec: 4.2e6, NNZ: 2016, Sparse: false,
+		{Benchmark: "CG", Cores: 64, EventsPerSec: 4.2e6, NNZ: 2016,
 			Mapper: "greedy", MapMillis: 0.5, CostRatio: 1.001},
-		{Benchmark: "CG", Cores: 64, EventsPerSec: 4.2e6, NNZ: 2016, Sparse: false,
+		{Benchmark: "CG", Cores: 64, EventsPerSec: 4.2e6, NNZ: 2016,
 			Mapper: "multilevel", MapMillis: 150.2, CostRatio: 0.997},
-		{Benchmark: "LU", Cores: 256, EventsPerSec: 3.1e6, NNZ: 31873, Sparse: true,
+		{Benchmark: "LU", Cores: 256, EventsPerSec: 3.1e6, NNZ: 31873,
 			Mapper: "multilevel", MapMillis: 480.9, CostRatio: 0.412},
-		{Benchmark: "LU", Cores: 256, EventsPerSec: 3.1e6, NNZ: 31873, Sparse: true,
+		{Benchmark: "LU", Cores: 256, EventsPerSec: 3.1e6, NNZ: 31873,
 			Mapper: "auto", MapMillis: 481.3, CostRatio: 0.412},
 	}
 }
@@ -86,8 +86,21 @@ func TestRunScaleStudySmall(t *testing.T) {
 	if len(rows) != 1 || rows[0].Mapper != "multilevel" {
 		t.Fatalf("edmonds gate failed: rows %+v", rows)
 	}
-	if !rows[0].Sparse {
-		t.Fatalf("256-core matrix should be sparse")
+
+	// The row budget applies at every size: at 64 cores a budget of 2
+	// leaves at most 64·2/2 pairs of CG's nearly full matrix.
+	cfg.Cores = []int{64}
+	cfg.Mappers = []string{"greedy"}
+	cfg.RowBudget = 2
+	rows, failed, err = RunScaleStudy(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(failed) != 0 || len(rows) != 1 {
+		t.Fatalf("budgeted cell: %d rows, %d failed", len(rows), len(failed))
+	}
+	if nnz := rows[0].NNZ; nnz == 0 || nnz > 64 {
+		t.Fatalf("row budget 2 at 64 cores left %d pairs, want 1..64", nnz)
 	}
 }
 

@@ -146,9 +146,6 @@ func TestMultilevel1024CoresUnder5s(t *testing.T) {
 	n := machine.NumCores()
 	rng := rand.New(rand.NewSource(1024))
 	m := comm.NewMatrix(n)
-	if !m.IsSparse() {
-		t.Fatalf("a %d-thread matrix should auto-select the sparse representation", n)
-	}
 	// A realistic sparse pattern — partner pairs, a ring and long-range
 	// noise, ~16 partners per thread — scrambled by a random permutation
 	// so the identity placement scatters every cluster across sockets.

@@ -216,7 +216,7 @@ func FuzzMultilevelVsBlossom(f *testing.F) {
 		n := 4 << (int(data[0]) % 4)
 		machine := fuzzMachines(n)[int(data[1])%2]
 		data = data[2:]
-		m := comm.NewDenseMatrix(n)
+		m := comm.NewMatrix(n)
 		k := 0
 		for i := 0; i < n && k < len(data); i++ {
 			for j := i + 1; j < n && k < len(data); j++ {

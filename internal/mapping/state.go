@@ -98,18 +98,19 @@ func (st OnlineState) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// DecodeOnlineState decodes what AppendBinary wrote, returning the state
-// and the remaining bytes.
-func DecodeOnlineState(data []byte) (OnlineState, []byte, error) {
+// DecodeOnlineState decodes what AppendBinary wrote for a controller over
+// n threads (one per core), returning the state and the remaining bytes.
+// A placement or matrix sized for any other count is rejected before it
+// is allocated.
+func DecodeOnlineState(data []byte, n int) (OnlineState, []byte, error) {
 	var st OnlineState
 	if len(data) < 4 {
 		return st, nil, fmt.Errorf("mapping: state decode: short buffer")
 	}
-	n := int(binary.LittleEndian.Uint32(data[0:4]))
-	data = data[4:]
-	if n < 0 || n > 1<<24 {
-		return st, nil, fmt.Errorf("mapping: state decode: implausible placement length %d", n)
+	if got := binary.LittleEndian.Uint32(data[0:4]); uint64(got) != uint64(n) {
+		return st, nil, fmt.Errorf("mapping: state decode: placement for %d cores, want %d", got, n)
 	}
+	data = data[4:]
 	if len(data) < n*4+8*5 {
 		return st, nil, fmt.Errorf("mapping: state decode: truncated (%d bytes for %d cores)", len(data), n)
 	}
@@ -125,10 +126,10 @@ func DecodeOnlineState(data []byte) (OnlineState, []byte, error) {
 	st.Confidence = floatFromBits(binary.LittleEndian.Uint64(data[32:40]))
 	data = data[40:]
 	var err error
-	if st.PrevEpoch, data, err = comm.DecodeOptionalMatrix(data); err != nil {
+	if st.PrevEpoch, data, err = comm.DecodeOptionalMatrix(data, n); err != nil {
 		return st, nil, fmt.Errorf("mapping: state decode: prev epoch: %w", err)
 	}
-	if st.Reference, data, err = comm.DecodeOptionalMatrix(data); err != nil {
+	if st.Reference, data, err = comm.DecodeOptionalMatrix(data, n); err != nil {
 		return st, nil, fmt.Errorf("mapping: state decode: tracker reference: %w", err)
 	}
 	return st, data, nil

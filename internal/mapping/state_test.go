@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -37,7 +38,7 @@ func TestOnlineStateRoundTrip(t *testing.T) {
 	}
 	st := o.State()
 	enc := st.AppendBinary(nil)
-	got, rest, err := DecodeOnlineState(enc)
+	got, rest, err := DecodeOnlineState(enc, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestOnlineStateContinuation(t *testing.T) {
 
 	st := cont.State()
 	enc := st.AppendBinary(nil)
-	decoded, _, err := DecodeOnlineState(enc)
+	decoded, _, err := DecodeOnlineState(enc, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +140,16 @@ func TestOnlineStateDecodeRejectsDamage(t *testing.T) {
 	}
 	enc := o.State().AppendBinary(nil)
 	for _, cut := range []int{0, 3, 20, len(enc) - 1} {
-		if _, _, err := DecodeOnlineState(enc[:cut]); err == nil {
+		if _, _, err := DecodeOnlineState(enc[:cut], 32); err == nil {
 			t.Errorf("decode accepted truncation at %d bytes", cut)
 		}
+	}
+	// A state for another core count is rejected, whatever its size.
+	if _, _, err := DecodeOnlineState(enc, 64); err == nil {
+		t.Error("decode accepted a 32-core state for 64 cores")
+	}
+	huge := binary.LittleEndian.AppendUint32(nil, 1<<24)
+	if _, _, err := DecodeOnlineState(append(huge, enc[4:]...), 32); err == nil {
+		t.Error("decode accepted a 1<<24-core placement header")
 	}
 }

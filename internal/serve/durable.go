@@ -163,17 +163,14 @@ func (t *tenant) restoreState(data []byte) error {
 	}
 	data = data[48:]
 	var err error
-	if t.matrix, data, err = comm.DecodeMatrix(data); err != nil {
+	if t.matrix, data, err = comm.DecodeMatrix(data, t.threads); err != nil {
 		return fmt.Errorf("snapshot matrix: %w", err)
 	}
-	if t.matrix.N() != t.threads {
-		return fmt.Errorf("snapshot matrix for %d threads, tenant has %d", t.matrix.N(), t.threads)
-	}
-	if t.lastSnap, data, err = comm.DecodeOptionalMatrix(data); err != nil {
+	if t.lastSnap, data, err = comm.DecodeOptionalMatrix(data, t.threads); err != nil {
 		return fmt.Errorf("snapshot epoch matrix: %w", err)
 	}
 	var ost mapping.OnlineState
-	if ost, data, err = mapping.DecodeOnlineState(data); err != nil {
+	if ost, data, err = mapping.DecodeOnlineState(data, t.threads); err != nil {
 		return fmt.Errorf("snapshot mapper state: %w", err)
 	}
 	if err := t.online.Restore(ost); err != nil {

@@ -14,7 +14,7 @@
 # committed number is the minimum across repetitions, which is the standard
 # way to suppress scheduler noise on a shared machine).
 #
-# "check" re-runs BenchmarkEngine, BenchmarkMultilevel, BenchmarkSparseMatrix,
+# "check" re-runs BenchmarkEngine, BenchmarkMultilevel, BenchmarkMatrixAdd,
 # the serve-plane micros (BenchmarkIngestParse, BenchmarkRecovery) and the
 # mapperd selftest and compares events/sec (and for the daemon,
 # queries/sec) against the committed BENCH_engine.json / BENCH_serve.json:
@@ -96,7 +96,7 @@ if [ "${1:-}" = "check" ]; then
 		./internal/sim | tee "$RAW" >&2
 	go test -run '^$' -bench BenchmarkMultilevel -benchtime 1x -count 3 \
 		./internal/mapping | tee -a "$RAW" >&2
-	go test -run '^$' -bench BenchmarkSparseMatrix -benchtime 0.5s -count 3 \
+	go test -run '^$' -bench BenchmarkMatrixAdd -benchtime 0.5s -count 3 \
 		./internal/comm | tee -a "$RAW" >&2
 	# BenchmarkWALGroupCommit is deliberately absent: it is fsync-bound,
 	# and fsync latency on shared infrastructure swings far more than the
@@ -110,14 +110,14 @@ if [ "${1:-}" = "check" ]; then
 		FNR == NR {
 			if ($0 ~ /"benchmarks": \[/) { live = 1; next }
 			if (live && $0 ~ /^[[:space:]]*\]/) live = 0
-			if (live && match($0, /"name": "Benchmark(Engine|Multilevel|SparseMatrix|IngestParse|Recovery)(\/[^"]*)?"/)) {
+			if (live && match($0, /"name": "Benchmark(Engine|Multilevel|MatrixAdd|IngestParse|Recovery)(\/[^"]*)?"/)) {
 				name = substr($0, RSTART + 9, RLENGTH - 10)
 				if (match($0, /"events_per_sec": [0-9.e+]+/))
 					base[name] = substr($0, RSTART + 18, RLENGTH - 18) + 0
 			}
 			next
 		}
-		/^Benchmark(Engine|Multilevel|SparseMatrix|IngestParse|Recovery)[-\/ \t]/ {
+		/^Benchmark(Engine|Multilevel|MatrixAdd|IngestParse|Recovery)[-\/ \t]/ {
 			name = $1
 			sub(/-[0-9]+$/, "", name)
 			for (i = 2; i < NF; i++)
@@ -188,7 +188,7 @@ RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
 echo "== micro: engine + detectors + matrix ==" >&2
-go test -run '^$' -bench 'BenchmarkEngine|BenchmarkDetectors|BenchmarkSparseMatrix' -benchtime 2s \
+go test -run '^$' -bench 'BenchmarkEngine|BenchmarkDetectors|BenchmarkMatrixAdd' -benchtime 2s \
 	-benchmem ./internal/sim ./internal/comm | tee -a "$RAW" >&2
 
 echo "== micro: multilevel mapper ==" >&2
