@@ -51,7 +51,7 @@ done
 scripts/bench.sh check
 go test -run '^$' -bench BenchmarkDetectors -benchtime 1x ./internal/comm >/dev/null
 go test . -run '^$' -bench BenchmarkParallelSuite -benchtime 1x >/dev/null
-go test -run 'TestSteadyStateZeroAllocs|TestReplaySteadyStateZeroAllocs' ./internal/sim
+go test -run 'TestSteadyStateZeroAllocs' ./internal/sim
 # The serve-plane analogue: the wire hot path (parse, batch copy, enqueue,
 # response build) must stay allocation-free per event at steady state.
 go test -run 'TestIngestSteadyStateZeroAllocs' ./internal/serve
@@ -109,10 +109,6 @@ timeout 300 go run ./cmd/experiments -exp scale -class S -bench CG -cores 256 -m
 # committed corpora. Full fuzzing is manual (go test -fuzz ...).
 go test ./internal/check -run=NONE -fuzz='FuzzEngineVsOracle$' -fuzztime=10s
 go test ./internal/check -run=NONE -fuzz=FuzzEngineVsOracleFaults -fuzztime=10s
-# Compiled-vs-goroutine equivalence, seeded from the differential corpus:
-# every input runs on the goroutine engine and through compiled replay, and
-# cross-compares.
-go test ./internal/check -run=NONE -fuzz='FuzzReplayVsSerial$' -fuzztime=10s
 go test ./internal/mapping -run=NONE -fuzz=FuzzMultilevelVsBlossom -fuzztime=10s
 go test ./internal/wal -run=NONE -fuzz=FuzzWALRecovery -fuzztime=10s
 # Snapshot matrix decoder: arbitrary bytes never panic or allocate past

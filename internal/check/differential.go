@@ -71,10 +71,6 @@ type DiffConfig struct {
 	// proving faults perturb detection fidelity only, never
 	// architectural state.
 	Faults fault.Plan
-	// Compiled replays the workload through trace.Compile instead of the
-	// live goroutine team. Equal configs must produce bit-identical
-	// Results either way; the equivalence tests cross the two paths.
-	Compiled bool
 }
 
 // DiffReport carries the outcome of one differential run.
@@ -146,13 +142,7 @@ func Differential(cfg DiffConfig) (*DiffReport, error) {
 		}
 	}
 
-	var res *sim.Result
-	var err error
-	if cfg.Compiled {
-		res, err = sim.RunSource(simCfg, as, trace.Compile(team).NewSource())
-	} else {
-		res, err = sim.Run(simCfg, as, team)
-	}
+	res, err := sim.Run(simCfg, as, team)
 	rep := &DiffReport{
 		Pattern:    cfg.Pattern,
 		Seed:       cfg.Seed,

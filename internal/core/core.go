@@ -268,57 +268,27 @@ func EvaluateMetrics(w Workload, placement []int, opt Options) (RunMetrics, erro
 	}, nil
 }
 
-// CompiledWorkload is a workload instantiated and lowered to flat event
-// arrays once, for repeated evaluation under different placements without
-// re-spawning the goroutine team or regenerating the trace. Replays share
-// one address space; the engine's timing and counters depend only on the
-// recorded event stream (never on loaded data), so every replay returns
-// metrics bit-identical to a fresh Evaluate of the same workload — the
-// harness goldens pin this.
+// CompiledWorkload wraps a workload for repeated evaluation.
+//
+// Deprecated: every evaluation runs the live engine on a fresh workload
+// instance; call EvaluateMetrics directly. The wrapper remains only for
+// the benchmark module and is deleted with it by ROADMAP item 2.
 type CompiledWorkload struct {
-	as     *vm.AddressSpace
-	replay *trace.Replay
+	w Workload
 }
 
-// CompileWorkload instantiates the workload and compiles its trace for
-// replay via EvaluateMetrics.
+// CompileWorkload wraps w for EvaluateMetrics.
+//
+// Deprecated: call EvaluateMetrics directly. ROADMAP item 2 deletes this.
 func CompileWorkload(w Workload, opt Options) *CompiledWorkload {
-	opt = opt.withDefaults()
-	as := vm.NewAddressSpace()
-	programs := w(as)
-	return &CompiledWorkload{as: as, replay: trace.Compile(buildTeam(programs, opt)).NewSource()}
+	return &CompiledWorkload{w: w}
 }
 
-// EvaluateMetrics replays the compiled trace under the given placement
-// with detection switched off — the compile-once/replay-many counterpart
-// of EvaluateMetrics on a Workload.
+// EvaluateMetrics returns EvaluateMetrics(w, placement, opt).
+//
+// Deprecated: call EvaluateMetrics directly. ROADMAP item 2 deletes this.
 func (cw *CompiledWorkload) EvaluateMetrics(placement []int, opt Options) (RunMetrics, error) {
-	opt = opt.withDefaults()
-	cw.replay.Reset()
-	inj := fault.New(opt.Faults, opt.Machine.NumCores())
-	res, err := sim.RunSource(sim.Config{
-		Machine:    opt.Machine,
-		L1:         opt.L1,
-		L2:         opt.L2,
-		TLB:        opt.TLB,
-		TLB2:       opt.TLB2,
-		TLBMode:    tlb.HardwareManaged,
-		Placement:  placement,
-		Detector:   inj.WrapDetector(comm.NullDetector{}),
-		Perturber:  inj.Perturber(),
-		Interrupt:  opt.Interrupt,
-		JitterSeed: opt.JitterSeed,
-	}, cw.as, cw.replay)
-	if err != nil {
-		return RunMetrics{}, err
-	}
-	return RunMetrics{
-		Cycles:        res.Cycles,
-		Invalidations: res.Counters.Get(metrics.Invalidations),
-		Snoops:        res.Counters.Get(metrics.SnoopTransactions),
-		L2Misses:      res.Counters.Get(metrics.L2Misses),
-		InterChip:     res.Counters.Get(metrics.InterChipTraffic),
-	}, nil
+	return EvaluateMetrics(cw.w, placement, opt)
 }
 
 // EvaluateWithDetection runs the workload under a placement with a live

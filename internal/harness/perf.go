@@ -96,7 +96,7 @@ type perfPrep struct {
 }
 
 // repMetrics is the payload of one (benchmark, repetition) job: the
-// metrics of the three placements evaluated on the same workload instance.
+// metrics of the three placements evaluated on the job's workload.
 type repMetrics struct {
 	os, sm, hm core.RunMetrics
 }
@@ -157,7 +157,8 @@ func RunPerformance(cfg Config) ([]PerfResult, error) {
 
 	// Phase 2: one job per (benchmark, repetition). Job j covers
 	// benchmark j/reps, repetition j%reps, and evaluates the OS, SM and
-	// HM placements on the same per-job workload instance.
+	// HM placements on the live engine, each on a fresh instance of the
+	// job's workload.
 	reps := cfg.Repetitions
 	runs, err := runner.Map(cfg.pool("perf"), len(preps)*reps, func(j int) (repMetrics, error) {
 		p := preps[j/reps]
@@ -167,9 +168,6 @@ func RunPerformance(cfg Config) ([]PerfResult, error) {
 		if err != nil {
 			return repMetrics{}, err
 		}
-		// Compile the per-job workload once and replay it under all three
-		// placements: same trace, no per-placement team respawn.
-		cw := core.CompileWorkload(wr, cfg.Options)
 		opt := cfg.Options
 		opt.JitterSeed = cfg.jobSeed(p.name, "jitter", rep)
 		osPlace, err := mapping.NewOSScheduler(cfg.jobSeed(p.name, "os", rep)).Map(p.smMatrix, machine)
@@ -186,7 +184,7 @@ func RunPerformance(cfg Config) ([]PerfResult, error) {
 			{SMLabel, p.result.PlacementSM, &out.sm},
 			{HMLabel, p.result.PlacementHM, &out.hm},
 		} {
-			m, err := cw.EvaluateMetrics(run.place, opt)
+			m, err := core.EvaluateMetrics(wr, run.place, opt)
 			if err != nil {
 				return repMetrics{}, fmt.Errorf("harness: %s/%s rep %d: %w", p.name, run.label, rep, err)
 			}

@@ -119,21 +119,28 @@ func TestConcurrentIngestMatchesReplay(t *testing.T) {
 
 // TestLoadgenReconnectResume drives a sequenced fleet where every
 // connection deliberately drops mid-conversation (half of them after
-// writing a batch whose ack is then lost) and every third dial attempt
-// fails, forcing the seeded backoff path. The run must still finish with
-// every event applied exactly once: resume-from-acknowledged-sequence plus
-// "OK dup" retransmit handling make the disconnects invisible to the
-// counters.
+// writing a batch whose ack is then lost) and every third of the first
+// 3*retries dial attempts fails, forcing the seeded backoff path. The run
+// must still finish with every event applied exactly once:
+// resume-from-acknowledged-sequence plus "OK dup" retransmit handling make
+// the disconnects invisible to the counters.
+//
+// The injector refuses at most retries dials in total, so no connection
+// can use up its retry budget however the 64 connections' dials
+// interleave: refusing every third dial for the whole run can hand one
+// connection retries+1 failing slots in a row under the race detector.
 func TestLoadgenReconnectResume(t *testing.T) {
 	const (
 		conns         = 64
 		eventsPerConn = 400
+		retries       = 6
 	)
 	s := New(Config{Shards: 8, QueueCap: 512})
 	var wg sync.WaitGroup
-	var dials atomic.Uint64
+	var dials, refused atomic.Uint64
 	dial := func() (net.Conn, error) {
-		if dials.Add(1)%3 == 0 {
+		if d := dials.Add(1); d%3 == 0 && d <= 3*retries {
+			refused.Add(1)
 			return nil, fmt.Errorf("synthetic dial failure")
 		}
 		client, server := net.Pipe()
@@ -155,13 +162,18 @@ func TestLoadgenReconnectResume(t *testing.T) {
 		QueryEvery:    4,
 		Seed:          99,
 		Reconnect:     true,
-		Retries:       6,
+		Retries:       retries,
 		Backoff:       time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("reconnect fleet: %s", report)
+	// Every connection dials at least once, so all retries failing slots
+	// were reached.
+	if got := refused.Load(); got != retries {
+		t.Errorf("injected %d dial failures, want %d", got, retries)
+	}
 	if report.HangUps != 0 {
 		t.Errorf("%d connections failed to finish", report.HangUps)
 	}

@@ -147,17 +147,20 @@ type threadState struct {
 
 // Run drives a team to completion and returns the result. The address space
 // must be the one the team's traced arrays were allocated in.
-func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (*Result, error) {
-	return RunSource(cfg, as, team)
-}
-
-// RunSource drives any trace.Source — a live goroutine Team or a compiled
-// Replay — to completion. Both paths take every scheduling decision through
-// the same Source calls, so a Replay of trace.Compile(team) produces a
-// byte-identical Result to driving the team directly, without goroutine
-// switches or channel operations in the steady state.
-func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, error) {
-	n := src.NumThreads()
+//
+// A thread clock too large for the scheduler's packed key ends the run with
+// an error wrapping ErrClockOverflow; any other panic propagates.
+func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			co, ok := r.(clockOverflow)
+			if !ok {
+				panic(r)
+			}
+			res, err = nil, co
+		}
+	}()
+	n := len(team.Threads)
 	if cfg.Machine == nil {
 		return nil, fmt.Errorf("sim: Config.Machine is required")
 	}
@@ -315,9 +318,9 @@ func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, erro
 		st := &states[i]
 		if !st.started {
 			st.started = true
-			st.batch = src.Start(i)
+			st.batch = team.Start(i)
 		} else {
-			st.batch = src.Resume(i)
+			st.batch = team.Resume(i)
 		}
 		st.idx = 0
 	}
@@ -637,7 +640,7 @@ func RunSource(cfg Config, as *vm.AddressSpace, src trace.Source) (*Result, erro
 	}
 
 	// Assemble the result.
-	res := &Result{
+	res = &Result{
 		CoreCycles: make([]uint64, n),
 		PerCore:    make([]metrics.Counters, n),
 		Accesses:   accesses,

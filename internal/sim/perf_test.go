@@ -48,42 +48,6 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestReplaySteadyStateZeroAllocs is the compiled-replay mirror of
-// TestSteadyStateZeroAllocs: once a workload is compiled to flat arrays,
-// replaying it — resetting the cursor and re-running the engine — must not
-// allocate per event either. This is the invariant the compile-once/
-// replay-many benchmarks and the harness's repeated-run paths lean on.
-func TestReplaySteadyStateZeroAllocs(t *testing.T) {
-	build := func(iters int) func() {
-		as := vm.NewAddressSpace()
-		arr := trace.NewF64(as, 4096)
-		team := trace.SPMD(8, func(th *trace.Thread) {
-			for it := 0; it < iters; it++ {
-				for i := 0; i < 256; i++ {
-					arr.Add(th, (th.ID()*512+i*7)%4096, 1)
-					th.Compute(3)
-				}
-			}
-		}, 0)
-		replay := trace.Compile(team).NewSource()
-		return func() {
-			replay.Reset()
-			if _, err := RunSource(Config{Machine: topology.Harpertown()}, as, replay); err != nil {
-				panic(err)
-			}
-		}
-	}
-	const shortIters, longIters = 2, 12
-	shortAllocs := testing.AllocsPerRun(5, build(shortIters))
-	longAllocs := testing.AllocsPerRun(5, build(longIters))
-	extraEvents := float64((longIters - shortIters) * 8 * 256 * 3)
-	perEvent := (longAllocs - shortAllocs) / extraEvents
-	if perEvent > 0.01 {
-		t.Errorf("compiled replay allocates: %.4f allocs/event (short run %.0f, long run %.0f)",
-			perEvent, shortAllocs, longAllocs)
-	}
-}
-
 // benchWorkload builds the benchmark team: an 8-thread strided sweep with
 // enough pages to keep the TLBs missing and enough reuse to keep the caches
 // busy. Rebuilt per iteration because traces are consumed.
@@ -121,27 +85,6 @@ func BenchmarkEngine(b *testing.B) {
 	}
 	b.Run("null", func(b *testing.B) {
 		bench(b, func() Config { return Config{Machine: topology.Harpertown()} })
-	})
-	// null-compiled is the compile-once/replay-many mode: the workload is
-	// compiled to flat arrays once and every iteration replays them
-	// through RunSource with a reset cursor — no goroutines, no channel
-	// hand-offs, no per-iteration trace regeneration.
-	b.Run("null-compiled", func(b *testing.B) {
-		as, team := benchWorkload()
-		compiled := trace.Compile(team)
-		replay := compiled.NewSource()
-		b.ReportAllocs()
-		b.ResetTimer()
-		var events uint64
-		for i := 0; i < b.N; i++ {
-			replay.Reset()
-			res, err := RunSource(Config{Machine: topology.Harpertown()}, as, replay)
-			if err != nil {
-				b.Fatal(err)
-			}
-			events += res.Accesses + res.Accesses/2
-		}
-		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 	})
 	b.Run("SM", func(b *testing.B) {
 		bench(b, func() Config {

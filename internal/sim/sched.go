@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -18,7 +19,8 @@ import (
 // two loads through the states slice. Packing steals idBits low bits from
 // the clock, which caps runs at 2^(64-idBits) cycles; even a 1024-core
 // machine leaves 2^54 cycles of headroom (orders of magnitude beyond any
-// simulated run), and key() fails loudly rather than wrap silently.
+// simulated run), and a clock past it ends the run with ErrClockOverflow
+// rather than wrap silently.
 //
 // Two representations share the interface:
 //
@@ -147,13 +149,31 @@ func (h *schedHeap) key(id int) uint64 {
 	return clock<<h.idBits | uint64(id)
 }
 
-// keyOverflow panics on a clock that no longer fits the packed key. The
-// fmt call lives here, out of line, so key itself stays small enough to
-// inline into the heap maintenance paths.
+// ErrClockOverflow is wrapped by the error Run returns when a thread's
+// clock no longer fits the packed scheduler key, for example after a
+// Compute of 2^60 cycles on an 8-core machine.
+var ErrClockOverflow = errors.New("sim: clock overflows the packed scheduler key")
+
+// clockOverflow is the value key() panics with. Run recovers exactly this
+// type and returns it, so the check costs nothing on the per-event path.
+type clockOverflow struct {
+	clock  uint64
+	idBits uint
+}
+
+func (e clockOverflow) Error() string {
+	return fmt.Sprintf("%v: clock %d (%d id bits)", ErrClockOverflow, e.clock, e.idBits)
+}
+
+func (e clockOverflow) Unwrap() error { return ErrClockOverflow }
+
+// keyOverflow panics on a clock that no longer fits the packed key. It
+// lives out of line so key itself stays small enough to inline into the
+// heap maintenance paths.
 //
 //go:noinline
 func keyOverflow(clock uint64, idBits uint) {
-	panic(fmt.Sprintf("sim: clock %d overflows the packed scheduler key (%d id bits)", clock, idBits))
+	panic(clockOverflow{clock: clock, idBits: idBits})
 }
 
 // peek returns the runnable thread with the smallest (clock, id) key, or -1

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash"
 	"math"
@@ -380,6 +381,45 @@ func TestSchedKeyOverflowPanics(t *testing.T) {
 	}()
 	h.push(1)
 }
+
+// TestClockOverflowIsRunError reproduces the overflow through the public
+// API: eight threads Compute 2^61 cycles and then load, which pushes their
+// clocks past the 2^60 that a key with 4 id bits holds. Run must return an
+// error wrapping ErrClockOverflow instead of panicking, while any other
+// panic inside a run still propagates.
+func TestClockOverflowIsRunError(t *testing.T) {
+	workload := func() (*vm.AddressSpace, *trace.Team) {
+		as := vm.NewAddressSpace()
+		arr := trace.NewF64(as, 8)
+		return as, trace.SPMD(8, func(th *trace.Thread) {
+			th.Compute(1 << 61)
+			arr.Get(th, th.ID())
+		}, 0)
+	}
+	as, team := workload()
+	res, err := Run(Config{Machine: topology.Harpertown()}, as, team)
+	if !errors.Is(err, ErrClockOverflow) || res != nil {
+		t.Fatalf("Run = (%v, %v), want an ErrClockOverflow error", res, err)
+	}
+	as, team = workload()
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		Run(Config{Machine: topology.Harpertown(), Checker: panicChecker{}}, as, team)
+		return nil
+	}()
+	if got != "checker fault" {
+		t.Fatalf("Run with a panicking checker: recovered %v, want the checker's own panic", got)
+	}
+}
+
+// panicChecker panics as soon as a run begins, standing in for any
+// failure other than a clock overflow.
+type panicChecker struct{}
+
+func (panicChecker) Begin(CheckEnv)                                 { panic("checker fault") }
+func (panicChecker) OnAccess(int, int, trace.Event, vm.Frame) error { return nil }
+func (panicChecker) OnMigration(uint64, []int) error                { return nil }
+func (panicChecker) Finish(*Result) error                           { return nil }
 
 // TestFrameBitset checks the bitset against a map across growth.
 func TestFrameBitset(t *testing.T) {

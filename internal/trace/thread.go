@@ -7,6 +7,10 @@
 // any instant (the engine resumes one thread, which fills a batch of events
 // and parks again). Kernels therefore need no locks even when they share
 // slices, and runs are fully deterministic.
+//
+// A Team is the only way a workload reaches the engine: every run executes
+// the kernels afresh under the engine's own interleaving, so a kernel whose
+// accesses depend on it (SPLASH RADIX) is measured on what it really emits.
 package trace
 
 import (

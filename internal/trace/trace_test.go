@@ -6,54 +6,186 @@ import (
 	"tlbmap/internal/vm"
 )
 
-// drain runs a team to completion, returning every event per thread and
-// enforcing the barrier protocol the engine implements.
-func drain(t *testing.T, team *Team) [][]Event {
+// drainBatches runs a team to completion with the engine's barrier
+// semantics — round-robin, one batch per runnable thread per round, the
+// barrier released once every live thread has parked at it — and returns
+// every batch each thread yielded. Events are copied: a thread reuses its
+// buffer once resumed.
+func drainBatches(t *testing.T, team *Team) [][]Batch {
 	t.Helper()
 	n := len(team.Threads)
-	events := make([][]Event, n)
-	type state struct{ done, barrier bool }
-	st := make([]state, n)
-	consume := func(i int, b Batch) {
-		events[i] = append(events[i], b.Events...)
-		st[i].done = b.Done
-		st[i].barrier = b.Barrier
-	}
-	for i := 0; i < n; i++ {
-		consume(i, team.Start(i))
-	}
-	for {
-		progress := false
-		allBarrier := true
+	out := make([][]Batch, n)
+	started := make([]bool, n)
+	parked := make([]bool, n)
+	done := make([]bool, n)
+	for alive, rounds := n, 0; alive > 0; rounds++ {
+		if rounds > 1<<20 {
+			t.Fatal("drainBatches: no progress")
+		}
+		ran := false
 		for i := 0; i < n; i++ {
-			if st[i].done {
+			if done[i] || parked[i] {
 				continue
 			}
-			if !st[i].barrier {
-				consume(i, team.Resume(i))
-				progress = true
+			ran = true
+			var b Batch
+			if started[i] {
+				b = team.Resume(i)
+			} else {
+				started[i] = true
+				b = team.Start(i)
 			}
-			if !st[i].done && !st[i].barrier {
-				allBarrier = false
+			out[i] = append(out[i], Batch{
+				Events:  append([]Event(nil), b.Events...),
+				Barrier: b.Barrier,
+				Done:    b.Done,
+			})
+			done[i], parked[i] = b.Done, b.Barrier
+			if b.Done {
+				alive--
 			}
 		}
-		alive := 0
+		if !ran {
+			// Every live thread is parked: release the barrier.
+			for i := range parked {
+				parked[i] = false
+			}
+		}
+	}
+	return out
+}
+
+// drain runs a team to completion and returns every event per thread.
+func drain(t *testing.T, team *Team) [][]Event {
+	t.Helper()
+	events := make([][]Event, len(team.Threads))
+	for i, batches := range drainBatches(t, team) {
+		for _, b := range batches {
+			events[i] = append(events[i], b.Events...)
+		}
+	}
+	return events
+}
+
+// batchShape describes one expected batch as (event count, terminator).
+type batchShape struct {
+	n       int
+	barrier bool
+	done    bool
+}
+
+// TestTeamBatchShapes pins the batch sequence a team yields to the engine
+// in the edge cases the scheduler's barrier and done handling depend on:
+// zero-event threads, a barrier as the first event, Compute-only streams,
+// quanta that do not divide the stream, an exact quantum followed by a
+// barrier or by the end, and threads exiting in different phases.
+func TestTeamBatchShapes(t *testing.T) {
+	loads := func(t *Thread, n int) {
 		for i := 0; i < n; i++ {
-			if !st[i].done {
-				alive++
-			}
+			t.Load(vm.Addr(i * 64))
 		}
-		if alive == 0 {
-			return events
-		}
-		if !progress && allBarrier {
-			// Release the barrier.
-			for i := 0; i < n; i++ {
-				if !st[i].done && st[i].barrier {
-					st[i].barrier = false
+	}
+	cases := []struct {
+		name     string
+		quantum  int
+		programs []Program
+		want     [][]batchShape // per thread
+	}{
+		{
+			name:     "zero-event-thread",
+			quantum:  4,
+			programs: []Program{func(t *Thread) {}},
+			want:     [][]batchShape{{{0, false, true}}},
+		},
+		{
+			name:    "zero-event-thread-among-busy",
+			quantum: 4,
+			programs: []Program{
+				func(t *Thread) { loads(t, 3); t.Barrier() },
+				func(t *Thread) { t.Barrier() },
+			},
+			want: [][]batchShape{
+				{{3, true, false}, {0, false, true}},
+				{{0, true, false}, {0, false, true}},
+			},
+		},
+		{
+			name:    "barrier-as-first-event",
+			quantum: 4,
+			programs: []Program{
+				func(t *Thread) { t.Barrier(); loads(t, 2) },
+				func(t *Thread) { t.Barrier(); loads(t, 1) },
+			},
+			want: [][]batchShape{
+				{{0, true, false}, {2, false, true}},
+				{{0, true, false}, {1, false, true}},
+			},
+		},
+		{
+			name:    "compute-only-stream",
+			quantum: 3,
+			programs: []Program{func(t *Thread) {
+				for i := 0; i < 7; i++ {
+					t.Compute(10 + uint64(i))
+				}
+			}},
+			want: [][]batchShape{{{3, false, false}, {3, false, false}, {1, false, true}}},
+		},
+		{
+			name:    "quantum-does-not-divide-length",
+			quantum: 256,
+			programs: []Program{func(t *Thread) {
+				loads(t, 300)
+			}},
+			want: [][]batchShape{{{256, false, false}, {44, false, true}}},
+		},
+		{
+			name:    "exact-quantum-then-barrier",
+			quantum: 8,
+			programs: []Program{
+				func(t *Thread) { loads(t, 8); t.Barrier(); loads(t, 1) },
+				func(t *Thread) { t.Barrier() },
+			},
+			want: [][]batchShape{
+				{{8, false, false}, {0, true, false}, {1, false, true}},
+				{{0, true, false}, {0, false, true}},
+			},
+		},
+		{
+			name:     "exact-quantum-then-done",
+			quantum:  8,
+			programs: []Program{func(t *Thread) { loads(t, 16) }},
+			want:     [][]batchShape{{{8, false, false}, {8, false, false}, {0, false, true}}},
+		},
+		{
+			name:    "uneven-exit-across-phases",
+			quantum: 4,
+			programs: []Program{
+				func(t *Thread) { loads(t, 2); t.Barrier(); loads(t, 1) },
+				func(t *Thread) { loads(t, 1); t.Barrier(); loads(t, 2); t.Barrier(); loads(t, 3) },
+			},
+			want: [][]batchShape{
+				{{2, true, false}, {1, false, true}},
+				{{1, true, false}, {2, true, false}, {3, false, true}},
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := drainBatches(t, NewTeam(tc.programs, tc.quantum))
+			for i, shapes := range tc.want {
+				if len(got[i]) != len(shapes) {
+					t.Fatalf("thread %d yielded %d batches, want %d", i, len(got[i]), len(shapes))
+				}
+				for j, s := range shapes {
+					b := got[i][j]
+					if len(b.Events) != s.n || b.Barrier != s.barrier || b.Done != s.done {
+						t.Fatalf("thread %d batch %d: (%d events, barrier=%v, done=%v), want (%d, %v, %v)",
+							i, j, len(b.Events), b.Barrier, b.Done, s.n, s.barrier, s.done)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
