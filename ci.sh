@@ -40,14 +40,16 @@ for sc in shootdown migflush scandrop sampleloss preempt decay all; do
 	go run ./cmd/tlbmap -bench CG -class S -mech HM -check -faults "$sc:1" >/dev/null
 done
 
-# Bench smoke: one iteration of every benchmark, so a change that breaks a
-# benchmark (or the zero-allocation steady-state invariant, which is a
-# plain test and already ran above, but is cheap enough to re-check in
-# isolation with a clear name) fails here rather than on the next manual
-# scripts/bench.sh run. BenchmarkEngine additionally goes through
-# scripts/bench.sh check, which compares events/sec against the committed
-# BENCH_engine.json and fails on a >25% throughput regression in any case —
-# full timing is still a manual scripts/bench.sh run.
+# Performance gate and bench smoke. scripts/bench.sh check builds the
+# parent revision (HEAD for a dirty tree, otherwise HEAD~1) next to this
+# tree and runs the gated micro-benchmarks, BenchmarkParallelSuite/workers2
+# and the mapperd selftest on both sides in alternation; it fails when a
+# case's median current/parent throughput ratio drops below 0.75. The next
+# two lines run one iteration of benchmarks the gate does not time, so a
+# change that breaks them fails here rather than on the next manual
+# scripts/bench.sh run, and the zero-allocation steady-state invariants
+# (plain tests that already ran above) are re-checked in isolation with
+# clear names. Full timing is still a manual scripts/bench.sh run.
 scripts/bench.sh check
 go test -run '^$' -bench BenchmarkDetectors -benchtime 1x ./internal/comm >/dev/null
 go test . -run '^$' -bench BenchmarkParallelSuite -benchtime 1x >/dev/null

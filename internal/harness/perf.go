@@ -158,7 +158,8 @@ func RunPerformance(cfg Config) ([]PerfResult, error) {
 	// Phase 2: one job per (benchmark, repetition). Job j covers
 	// benchmark j/reps, repetition j%reps, and evaluates the OS, SM and
 	// HM placements on the live engine, each on a fresh instance of the
-	// job's workload.
+	// job's workload. They share one core.Evaluator, so a placement that
+	// repeats (most often HM equal to SM) is simulated once.
 	reps := cfg.Repetitions
 	runs, err := runner.Map(cfg.pool("perf"), len(preps)*reps, func(j int) (repMetrics, error) {
 		p := preps[j/reps]
@@ -174,6 +175,7 @@ func RunPerformance(cfg Config) ([]PerfResult, error) {
 		if err != nil {
 			return repMetrics{}, err
 		}
+		ev := core.NewEvaluator(wr)
 		var out repMetrics
 		for _, run := range []struct {
 			label MappingLabel
@@ -184,7 +186,7 @@ func RunPerformance(cfg Config) ([]PerfResult, error) {
 			{SMLabel, p.result.PlacementSM, &out.sm},
 			{HMLabel, p.result.PlacementHM, &out.hm},
 		} {
-			m, err := core.EvaluateMetrics(wr, run.place, opt)
+			m, err := ev.EvaluateMetrics(run.place, opt)
 			if err != nil {
 				return repMetrics{}, fmt.Errorf("harness: %s/%s rep %d: %w", p.name, run.label, rep, err)
 			}

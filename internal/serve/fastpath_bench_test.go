@@ -12,8 +12,8 @@ import (
 )
 
 // The serve benchmarks use chunky operations — one op is a fixed block of
-// work, not one request — so `-benchtime 1x -count 3` (the bench.sh check
-// harness) still measures thousands of events per sample.
+// work, not one request — so even a fixed `-benchtime Nx` of a few hundred
+// ops (what bench.sh check runs per sample) measures thousands of events.
 
 // BenchmarkIngestParse is the wire hot path: one op pushes 256 pipelined
 // E lines of 50 events each through session.handle (exactly what ServeConn

@@ -149,8 +149,11 @@ type threadState struct {
 // must be the one the team's traced arrays were allocated in.
 //
 // A thread clock too large for the scheduler's packed key ends the run with
-// an error wrapping ErrClockOverflow; any other panic propagates.
+// an error wrapping ErrClockOverflow; any other panic propagates, a kernel's
+// as a *trace.Panic. Run closes the team before it returns, so a run that
+// ends early leaves none of its threads parked.
 func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err error) {
+	defer team.Close()
 	defer func() {
 		if r := recover(); r != nil {
 			co, ok := r.(clockOverflow)

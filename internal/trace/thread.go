@@ -8,13 +8,21 @@
 // and parks again). Kernels therefore need no locks even when they share
 // slices, and runs are fully deterministic.
 //
+// A run owns its threads. Closing a Team unwinds every thread still parked,
+// so a run that ends early leaves no goroutine behind, and a panic in a
+// kernel is re-raised on the goroutine that resumed the thread, where the
+// caller's recovery can reach it.
+//
 // A Team is the only way a workload reaches the engine: every run executes
 // the kernels afresh under the engine's own interleaving, so a kernel whose
 // accesses depend on it (SPLASH RADIX) is measured on what it really emits.
 package trace
 
 import (
+	"errors"
 	"fmt"
+	"runtime/debug"
+	"sync"
 
 	"tlbmap/internal/vm"
 )
@@ -76,9 +84,9 @@ type Thread struct {
 	buf     []Event
 	quantum int
 
-	out    chan Batch
-	resume chan struct{}
-	done   bool
+	out      chan Batch
+	resume   chan bool // true asks a parked thread to stop
+	panicked *Panic    // set before the final batch of a panicking program
 }
 
 // ID returns the thread's index in [0, NumThreads).
@@ -120,14 +128,40 @@ func (t *Thread) emit(e Event) {
 func (t *Thread) yield(b Batch) {
 	t.out <- b
 	if !b.Done {
-		<-t.resume
+		t.park()
 		t.buf = t.buf[:0]
 	}
+}
+
+// errStopped unwinds the program of a thread whose team was closed while
+// the thread was parked; the thread's goroutine recovers it.
+var errStopped = errors.New("trace: team closed")
+
+// park waits until the engine resumes the thread or closes its team.
+func (t *Thread) park() {
+	if <-t.resume {
+		panic(errStopped)
+	}
+}
+
+// Panic is a panic raised by a thread's program. Team.Resume re-raises it
+// on the resuming goroutine as a *Panic value.
+type Panic struct {
+	Thread int    // the panicking thread's ID
+	Value  any    // the value passed to panic()
+	Stack  []byte // the thread goroutine's stack at the panic site
+}
+
+func (p *Panic) Error() string {
+	return fmt.Sprintf("trace: thread %d panicked: %v", p.Thread, p.Value)
 }
 
 // Team is a set of threads ready to be driven by the engine.
 type Team struct {
 	Threads []*Thread
+
+	stopped sync.Once
+	exited  sync.WaitGroup
 }
 
 // NewTeam spawns one goroutine per program. No goroutine starts executing
@@ -139,6 +173,7 @@ func NewTeam(programs []Program, quantum int) *Team {
 	}
 	n := len(programs)
 	team := &Team{Threads: make([]*Thread, n)}
+	team.exited.Add(n)
 	for i := range programs {
 		t := &Thread{
 			id:      i,
@@ -150,13 +185,20 @@ func NewTeam(programs []Program, quantum int) *Team {
 			// batch) but turns each hand-off into an asynchronous send plus
 			// a wake-up instead of a two-phase rendezvous.
 			out:    make(chan Batch, 1),
-			resume: make(chan struct{}, 1),
+			resume: make(chan bool, 1),
 		}
 		team.Threads[i] = t
 		go func(p Program, t *Thread) {
-			<-t.resume
+			defer team.exited.Done()
+			defer func() {
+				if r := recover(); r != nil && r != errStopped {
+					// The engine is blocked in Resume on this thread.
+					t.panicked = &Panic{Thread: t.id, Value: r, Stack: debug.Stack()}
+					t.out <- Batch{Done: true}
+				}
+			}()
+			t.park()
 			p(t)
-			t.done = true
 			t.yield(Batch{Events: t.buf, Done: true})
 		}(programs[i], t)
 	}
@@ -165,11 +207,30 @@ func NewTeam(programs []Program, quantum int) *Team {
 
 // Resume lets thread i run until its next yield and returns the batch it
 // produced. The caller must fully consume the batch before resuming the
-// same thread again.
+// same thread again. If the thread's program panics, Resume panics with a
+// *Panic.
 func (tm *Team) Resume(i int) Batch {
 	t := tm.Threads[i]
-	t.resume <- struct{}{}
-	return <-t.out
+	t.resume <- false
+	b := <-t.out
+	if t.panicked != nil {
+		panic(t.panicked)
+	}
+	return b
+}
+
+// Close unwinds every thread that has not finished and waits for all the
+// team's goroutines to exit. It must not be called while a thread runs,
+// that is, concurrently with Resume. Close is idempotent.
+func (tm *Team) Close() {
+	tm.stopped.Do(func() {
+		// Every thread is parked or finished, so its resume slot is
+		// free: the send never blocks, and a finished thread ignores it.
+		for _, t := range tm.Threads {
+			t.resume <- true
+		}
+	})
+	tm.exited.Wait()
 }
 
 // Start releases thread i for the first time and returns its first batch.

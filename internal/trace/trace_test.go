@@ -429,3 +429,41 @@ func TestMatrix2PanicsOnBadDims(t *testing.T) {
 	}()
 	NewMatrix2(vm.NewAddressSpace(), 1, 0)
 }
+
+// TestCloseUnwindsParkedThreads closes a team with one thread parked
+// mid-program and one never started: both goroutines must exit, running
+// the parked program's deferred calls, and a second Close is a no-op.
+func TestCloseUnwindsParkedThreads(t *testing.T) {
+	unwound := false
+	team := NewTeam([]Program{
+		func(th *Thread) {
+			defer func() { unwound = true }()
+			th.Load(1)
+			th.Barrier()
+			t.Error("thread 0 ran past its barrier after Close")
+		},
+		func(th *Thread) { t.Error("thread 1 ran after Close") },
+	}, 0)
+	if b := team.Start(0); !b.Barrier {
+		t.Fatalf("first batch %+v, want the barrier", b)
+	}
+	team.Close()
+	team.Close()
+	if !unwound {
+		t.Error("Close returned before the parked program unwound")
+	}
+}
+
+// BenchmarkTeamHandoff measures one engine-thread round trip: a
+// quantum-1 thread yields after every event, so each Resume is one
+// hand-off to the thread's goroutine and back.
+func BenchmarkTeamHandoff(b *testing.B) {
+	team := NewTeam([]Program{func(th *Thread) {
+		for i := 0; i < b.N; i++ {
+			th.Load(vm.Addr(i))
+		}
+	}}, 1)
+	b.ResetTimer()
+	for bt := team.Start(0); !bt.Done; bt = team.Resume(0) {
+	}
+}

@@ -14,22 +14,27 @@
 # committed number is the minimum across repetitions, which is the standard
 # way to suppress scheduler noise on a shared machine).
 #
-# "check" re-runs BenchmarkEngine, BenchmarkMultilevel, BenchmarkMatrixAdd,
-# the serve-plane micros (BenchmarkIngestParse, BenchmarkRecovery) and the
-# mapperd selftest and compares events/sec (and for the daemon,
-# queries/sec) against the committed BENCH_engine.json / BENCH_serve.json:
-# any case dropping below 75% of its committed throughput fails, so an
-# accidental hot-path regression is caught by CI instead of by the next
-# manual bench run.
+# "check" compares the working tree against a comparison revision on this
+# host, interleaved. The revision is HEAD when the tree has local changes,
+# otherwise HEAD~1 (the parent of the commit under test); a missing
+# revision is an error. check extracts the revision with git archive,
+# builds each gated package's test binary and cmd/mapperd once per side,
+# and then runs every gated case on both sides in alternation, PAIRS
+# pairs, with the same flags (a side's result in a pair is the best of a
+# few runs for the short cases). The gated cases are BenchmarkEngine,
+# BenchmarkMultilevel, BenchmarkMatrixAdd, the serve-plane micros
+# (BenchmarkIngestParse, BenchmarkRecovery), BenchmarkParallelSuite/workers2
+# (harness.RunPerformance at class S) and the mapperd selftest's event and
+# query rates. A case's ratio in one pair is current/parent events/sec, or
+# parent/current ns/op for a case that reports no events/sec; check fails
+# when a case's median ratio falls below 0.75. Cases present on one side
+# only are listed and not gated. Absolute numbers on a shared host move by
+# tens of percent within minutes, so check never compares against the
+# committed files; only adjacent runs on the same host are compared.
 #
 # Every rendered file is stamped with the measuring host (CPU model + core
-# count) and commit. Absolute throughput is only comparable on the same
-# host: check compares ratios only when the committed host_id matches the
-# current machine, and prints the comparisons it skipped otherwise, so a
-# clone benched on different hardware reports "skipped" instead of a bogus
-# regression (or a silent pass). Frozen baseline blocks carry their own
-# host_id for the same reason — a baseline measured on an unrecorded host
-# is documentation, not a gate.
+# count) and commit, so committed numbers say where they were measured.
+# Frozen baseline blocks carry their own host_id for the same reason.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -48,10 +53,12 @@ commit_id() {
 }
 
 # The fixed fleet shape both modes run, so committed and current numbers
-# are comparable: 256 connections over 16 tenants, 1000 events each.
+# are comparable: 256 connections over 16 tenants, 1000 events each. It is
+# a flag list, expanded unquoted.
+SELFTEST="-selftest -conns 256 -tenants 16 -threads 8 -events 1000 -batch 50 -query-every 4 -seed 1"
+
 serve_selftest() {
-	go run ./cmd/mapperd -selftest -conns 256 -tenants 16 -threads 8 \
-		-events 1000 -batch 50 -query-every 4 -seed 1
+	go run ./cmd/mapperd $SELFTEST
 }
 
 # serve_best runs the selftest N times and keeps the BENCH line with the
@@ -73,113 +80,190 @@ serve_best() {
 	echo "$_best"
 }
 
-# committed_host_id FILE prints the top-level host_id of a committed
-# result file ("" when the file predates host stamping).
-committed_host_id() {
-	sed -n 's/.*"host_id": "\(.*\)",*$/\1/p' "$1" | head -1
+# PAIRS is the number of interleaved parent/current pairs check runs.
+PAIRS=7
+
+# run_case SIDE PAIR DIR CMD... runs one gated command in DIR (a package
+# directory of SIDE's tree) and appends its benchmark lines to $RAW,
+# prefixed with the side and pair. A failing test binary fails check; the
+# selftest's own verdict (drain, latency deadline) is the serve smoke's
+# job in ci.sh, so only its BENCH line is used here.
+run_case() {
+	_side="$1"
+	_pair="$2"
+	_dir="$3"
+	shift 3
+	if ! (cd "$_dir" && "$@") >"$WORK/out" 2>&1; then
+		case "$1" in
+		*/mapperd) ;;
+		*)
+			cat "$WORK/out" >&2
+			echo "bench check: $_side tree: $* failed" >&2
+			exit 1
+			;;
+		esac
+	fi
+	awk -v side="$_side" -v pair="$_pair" '
+		/^Benchmark/ { print side, pair, $0 }
+		/^BENCH / {
+			# The mapperd selftest line: gate its throughputs.
+			for (i = 2; i <= NF; i++)
+				if (split($i, kv, "=") == 2 && kv[1] ~ /_per_sec$/)
+					printf "%s %s MapperdSelftest/%s 1 %s events/sec\n", side, pair, kv[1], kv[2]
+		}' "$WORK/out" >>"$RAW"
+}
+
+# The gated cases as DIR:BINARY:BENCHMARK:ITERATIONS:COUNT, one benchmark
+# per invocation so that the parent and current runs of a case are
+# adjacent in time; fixed iteration counts give both sides the same work.
+# A side's result in a pair is the best of its COUNT runs: on a shared
+# host a short run lands in a slow phase often enough to flip a median of
+# single runs. The mapperd selftest runs after them. BenchmarkWALGroupCommit
+# is deliberately absent: it is fsync-bound, and fsync latency on shared
+# infrastructure swings far more than the 25% regression budget — it stays
+# a full-mode (documentation) number.
+GATED="internal/sim:sim.test:BenchmarkEngine/null:10x:2
+internal/sim:sim.test:BenchmarkEngine/SM:10x:2
+internal/sim:sim.test:BenchmarkEngine/HM:10x:2
+internal/sim:sim.test:BenchmarkEngine/oracle:10x:2
+internal/mapping:mapping.test:BenchmarkMultilevel/threads256:1x:1
+internal/mapping:mapping.test:BenchmarkMultilevel/threads1024:1x:1
+internal/comm:comm.test:BenchmarkMatrixAdd/n128:100000000x:3
+internal/comm:comm.test:BenchmarkMatrixAdd/n1024:100000000x:3
+internal/serve:serve.test:BenchmarkIngestParse:500x:2
+internal/serve:serve.test:BenchmarkRecovery/workers1:50x:2
+internal/serve:serve.test:BenchmarkRecovery/workers4:50x:2
+.:tlbmap.test:BenchmarkParallelSuite/workers2:1x:2
+selftest"
+
+# gated_case SPEC SIDE PAIR TREE BIN runs one gated case.
+gated_case() {
+	if [ "$1" = selftest ]; then
+		run_case "$2" "$3" "$4" "$5/mapperd" $SELFTEST
+		return
+	fi
+	_dir="$(echo "$1" | cut -d: -f1)"
+	_bin="$(echo "$1" | cut -d: -f2)"
+	_bench="$(echo "$1" | cut -d: -f3)"
+	_n="$(echo "$1" | cut -d: -f4)"
+	_count="$(echo "$1" | cut -d: -f5)"
+	run_case "$2" "$3" "$4/$_dir" "$5/$_bin" -test.run '^$' \
+		-test.bench "^$_bench\$" -test.benchtime "$_n" -test.count "$_count"
+}
+
+# build_side TREE BIN builds the gated binaries of one tree into BIN.
+build_side() {
+	mkdir -p "$2"
+	for _p in sim mapping comm serve; do
+		(cd "$1" && go test -c -o "$2/$_p.test" "./internal/$_p")
+	done
+	(cd "$1" && go test -c -o "$2/tlbmap.test" . && go build -o "$2/mapperd" ./cmd/mapperd)
 }
 
 if [ "${1:-}" = "check" ]; then
-	[ -f "$OUT" ] || { echo "bench check: no committed $OUT" >&2; exit 1; }
-	HOST="$(host_id)"
-	GATE=1
-	COMMITTED_HOST="$(committed_host_id "$OUT")"
-	if [ "$COMMITTED_HOST" != "$HOST" ]; then
-		GATE=0
-		echo "bench check: committed numbers measured on '${COMMITTED_HOST:-unrecorded host}'," >&2
-		echo "bench check: current host is '$HOST' — comparisons are informational, gate skipped" >&2
+	# Untracked files count as local changes: they are part of the tree
+	# under test but not of HEAD.
+	if [ -n "$(git status --porcelain)" ]; then
+		BASE_REV=HEAD
+	else
+		BASE_REV=HEAD~1
 	fi
-	RAW="$(mktemp)"
-	trap 'rm -f "$RAW"' EXIT
-	echo "== bench check: engine/mapper/matrix/serve vs committed $OUT ==" >&2
-	go test -run '^$' -bench BenchmarkEngine -benchtime 1x -count 3 \
-		./internal/sim | tee "$RAW" >&2
-	go test -run '^$' -bench BenchmarkMultilevel -benchtime 1x -count 3 \
-		./internal/mapping | tee -a "$RAW" >&2
-	go test -run '^$' -bench BenchmarkMatrixAdd -benchtime 0.5s -count 3 \
-		./internal/comm | tee -a "$RAW" >&2
-	# BenchmarkWALGroupCommit is deliberately absent: it is fsync-bound,
-	# and fsync latency on shared infrastructure swings far more than the
-	# 25% regression budget — it stays a full-mode (documentation) number.
-	go test -run '^$' -bench 'BenchmarkIngestParse|BenchmarkRecovery' \
-		-benchtime 1x -count 3 ./internal/serve | tee -a "$RAW" >&2
-	# Pass 1 reads the committed live "benchmarks" section (the frozen
-	# baselines nest under "frozen", so this key is unique); pass 2 keeps
-	# each current case's best events/sec across -count repetitions.
-	awk -v gate="$GATE" '
-		FNR == NR {
-			if ($0 ~ /"benchmarks": \[/) { live = 1; next }
-			if (live && $0 ~ /^[[:space:]]*\]/) live = 0
-			if (live && match($0, /"name": "Benchmark(Engine|Multilevel|MatrixAdd|IngestParse|Recovery)(\/[^"]*)?"/)) {
-				name = substr($0, RSTART + 9, RLENGTH - 10)
-				if (match($0, /"events_per_sec": [0-9.e+]+/))
-					base[name] = substr($0, RSTART + 18, RLENGTH - 18) + 0
-			}
-			next
-		}
-		/^Benchmark(Engine|Multilevel|MatrixAdd|IngestParse|Recovery)[-\/ \t]/ {
-			name = $1
+	BASE_SHA="$(git rev-parse --verify --quiet "$BASE_REV^{commit}")" || {
+		echo "bench check: comparison revision $BASE_REV does not exist" >&2
+		exit 1
+	}
+	WORK="$(mktemp -d)"
+	trap 'rm -rf "$WORK"' EXIT
+	RAW="$WORK/raw"
+	mkdir "$WORK/base"
+	git archive "$BASE_SHA" | tar -x -C "$WORK/base"
+	echo "== bench check: working tree vs $BASE_REV ($BASE_SHA), $PAIRS interleaved pairs ==" >&2
+	build_side "$PWD" "$WORK/bin-cur"
+	build_side "$WORK/base" "$WORK/bin-base"
+	_k=1
+	while [ "$_k" -le "$PAIRS" ]; do
+		_c=0
+		for _spec in $GATED; do
+			# Alternate which side runs first, so a drift in host speed
+			# favours neither.
+			_c=$((_c + 1))
+			if [ $(((_k + _c) % 2)) -eq 0 ]; then
+				gated_case "$_spec" base "$_k" "$WORK/base" "$WORK/bin-base"
+				gated_case "$_spec" cur "$_k" "$PWD" "$WORK/bin-cur"
+			else
+				gated_case "$_spec" cur "$_k" "$PWD" "$WORK/bin-cur"
+				gated_case "$_spec" base "$_k" "$WORK/base" "$WORK/bin-base"
+			fi
+		done
+		_k=$((_k + 1))
+	done
+	awk '
+		{
+			side = $1; pair = $2; name = $3
 			sub(/-[0-9]+$/, "", name)
-			for (i = 2; i < NF; i++)
-				if ($(i + 1) == "events/sec" && $i + 0 > cur[name] + 0)
-					cur[name] = $i + 0
+			# Keep the best run of each side in each pair.
+			for (i = 4; i < NF; i++) {
+				v = $i + 0
+				if ($(i + 1) == "events/sec" && (!((side, name, pair) in evs) || v > evs[side, name, pair]))
+					evs[side, name, pair] = v
+				if ($(i + 1) == "ns/op" && (!((side, name, pair) in ns) || v < ns[side, name, pair]))
+					ns[side, name, pair] = v
+			}
+			if (!((side, name) in seen)) {
+				seen[side, name] = 1
+				if (!(name in order)) { order[name] = ++n; names[n] = name }
+			}
+			if (pair + 0 > pairs) pairs = pair + 0
+		}
+		function median(a, m,    i, j, t) {
+			for (i = 2; i <= m; i++)
+				for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+			return (m % 2) ? a[(m + 1) / 2] : (a[m / 2] + a[m / 2 + 1]) / 2
 		}
 		END {
 			fail = 0
-			for (name in base) {
-				if (!(name in cur)) {
-					printf "bench check: case %s missing from current run\n", name
+			printf "%-40s %14s %14s %7s  %s\n", "case", "current", "parent", "median", "pair ratios"
+			for (c = 1; c <= n; c++) {
+				name = names[c]
+				if (!(("cur", name) in seen) || !(("base", name) in seen)) {
+					printf "%-40s only in the %s tree, not gated\n", name, \
+						(("cur", name) in seen) ? "current" : "parent"
+					continue
+				}
+				m = 0; mc = 0; mb = 0; rates = 1; list = ""
+				for (k = 1; k <= pairs; k++)
+					if (!(("cur", name, k) in evs) || !(("base", name, k) in evs)) rates = 0
+				for (k = 1; k <= pairs; k++) {
+					if (rates) {
+						cv = evs["cur", name, k]; bv = evs["base", name, k]
+						if (bv <= 0) continue
+						r = cv / bv
+					} else {
+						cv = ns["cur", name, k]; bv = ns["base", name, k]
+						if (cv <= 0) continue
+						r = bv / cv
+					}
+					m++; ratio[m] = r; cur[m] = cv; base[m] = bv
+					list = list sprintf(" %.2f", r)
+				}
+				if (m == 0) {
+					printf "bench check FAILED: %s has no comparable runs\n", name
 					fail = 1
 					continue
 				}
-				ratio = cur[name] / base[name]
-				printf "%-40s %12.0f ev/s  committed %12.0f  (%.2fx)%s\n", \
-					name, cur[name], base[name], ratio, (gate ? "" : "  [skipped: different host]")
-				if (gate && ratio < 0.75) {
-					printf "bench check FAILED: %s regressed to %.0f%% of committed throughput\n", \
-						name, ratio * 100
+				med = median(ratio, m)
+				printf "%-40s %14.0f %14.0f %6.2fx %s (%s)\n", name, median(cur, m), median(base, m), \
+					med, list, rates ? "events/sec" : "ns/op"
+				if (med < 0.75) {
+					printf "bench check FAILED: %s runs at %.0f%% of the parent (median of %d pairs)\n", \
+						name, med * 100, m
 					fail = 1
 				}
 			}
+			if (n == 0) { print "bench check FAILED: no benchmark output"; fail = 1 }
 			if (fail) exit 1
-			print (gate ? "bench check passed" : "bench check skipped (host mismatch); no gate applied")
-		}' "$OUT" "$RAW" >&2
-
-	[ -f "$SERVE_OUT" ] || { echo "bench check: no committed $SERVE_OUT" >&2; exit 1; }
-	SERVE_GATE=1
-	SERVE_HOST="$(committed_host_id "$SERVE_OUT")"
-	if [ "$SERVE_HOST" != "$HOST" ]; then
-		SERVE_GATE=0
-		echo "bench check: committed $SERVE_OUT from '${SERVE_HOST:-unrecorded host}' — gate skipped" >&2
-	fi
-	echo "== bench check: mapperd serving vs committed $SERVE_OUT ==" >&2
-	SERVE_LINE="$(serve_best 3)"
-	echo "$SERVE_LINE" | awk -v committed="$(cat "$SERVE_OUT")" -v gate="$SERVE_GATE" '
-		{
-			for (i = 1; i <= NF; i++)
-				if (split($i, kv, "=") == 2) cur[kv[1]] = kv[2] + 0
-		}
-		END {
-			n = split(committed, lines, "\n")
-			for (i = 1; i <= n; i++)
-				for (k in cur)
-					if (match(lines[i], "\"" k "\": [0-9.]+"))
-						base[k] = substr(lines[i], RSTART + length(k) + 4, RLENGTH - length(k) - 4) + 0
-			fail = 0
-			for (k in base) {
-				if (k == "conns" || k ~ /_us$/) continue # shape + latency: informational
-				ratio = cur[k] / base[k]
-				printf "%-18s %12.0f  committed %12.0f  (%.2fx)%s\n", k, cur[k], base[k], ratio, \
-					(gate ? "" : "  [skipped: different host]")
-				if (gate && ratio < 0.75) {
-					printf "bench check FAILED: mapperd %s regressed to %.0f%% of committed throughput\n", \
-						k, ratio * 100
-					fail = 1
-				}
-			}
-			if (fail) exit 1
-			print (gate ? "serve bench check passed" : "serve bench check skipped (host mismatch)")
-		}' >&2
+			print "bench check passed"
+		}' "$RAW" >&2
 	exit 0
 fi
 
