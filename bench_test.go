@@ -1,5 +1,9 @@
 // Repository-level benchmarks: one per table and figure of the paper's
 // evaluation section, plus the ablation benches called out in DESIGN.md.
+// Table I's scaling benches time the literal detection routines, which
+// are test oracles in internal/comm, so they live there:
+//
+//	go test -bench=Table1 ./internal/comm
 //
 // The figure benches time the regeneration of that figure's data and attach
 // the figure's values as custom benchmark metrics (ReportMetric), so
@@ -16,7 +20,6 @@ import (
 	"fmt"
 	"testing"
 
-	"tlbmap/internal/comm"
 	"tlbmap/internal/core"
 	"tlbmap/internal/datamap"
 	"tlbmap/internal/harness"
@@ -42,55 +45,6 @@ func workloadW(b *testing.B, name string) core.Workload {
 		b.Fatal(err)
 	}
 	return w
-}
-
-// ---------------------------------------------------------------------------
-// Table I: mechanism comparison — empirical Θ(P) vs Θ(P²·S) scaling of the
-// two detection routines.
-
-func benchDetectorScaling(b *testing.B, cores int, scan bool) {
-	cfg := tlb.DefaultConfig
-	tlbs := make(comm.TLBView, cores)
-	for i := range tlbs {
-		tlbs[i] = tlb.New(cfg)
-		for p := 0; p < cfg.Entries; p++ {
-			tlbs[i].Insert(vm.Translation{Page: vm.Page(p * cores), Frame: vm.Frame(p)})
-		}
-	}
-	if scan {
-		d := comm.NewHMDetector(cores, 1)
-		d.MaybeScan(1, tlbs) // arming call: the first MaybeScan never scans
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d.MaybeScan(uint64(2*i+4), tlbs)
-		}
-	} else {
-		b.ResetTimer()
-		d := comm.NewSMDetector(cores, 1)
-		for i := 0; i < b.N; i++ {
-			d.OnTLBMiss(0, vm.Page(i), tlbs)
-		}
-	}
-}
-
-// BenchmarkTable1SMSearch measures the software-managed search (Θ(P): one
-// set probe per remote TLB). Compare the per-op times across core counts.
-func BenchmarkTable1SMSearch(b *testing.B) {
-	for _, cores := range []int{2, 8, 32} {
-		b.Run(fmt.Sprintf("cores%d", cores), func(b *testing.B) {
-			benchDetectorScaling(b, cores, false)
-		})
-	}
-}
-
-// BenchmarkTable1HMScan measures the hardware-managed scan (Θ(P²·S): all
-// pairs of TLBs, set by set).
-func BenchmarkTable1HMScan(b *testing.B) {
-	for _, cores := range []int{2, 8, 32} {
-		b.Run(fmt.Sprintf("cores%d", cores), func(b *testing.B) {
-			benchDetectorScaling(b, cores, true)
-		})
-	}
 }
 
 // ---------------------------------------------------------------------------

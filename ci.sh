@@ -57,6 +57,10 @@ go test -run 'TestSteadyStateZeroAllocs' ./internal/sim
 # The serve-plane analogue: the wire hot path (parse, batch copy, enqueue,
 # response build) must stay allocation-free per event at steady state.
 go test -run 'TestIngestSteadyStateZeroAllocs' ./internal/serve
+# The cross-plane differential: a mapperd tenant fed an engine SM run's
+# access stream must detect exactly the engine's matrix — every kernel at
+# class S, and the NPB kernels at class W (skipped only under -short).
+go test -run 'TestCrossPlaneDifferential' ./internal/serve
 
 # Serve smoke: the mapping daemon end-to-end over real TCP — a short
 # synthetic-fleet burst through cmd/mapperd's selftest, which exits

@@ -21,11 +21,9 @@ func testEnv() sim.CheckEnv {
 	m := topology.Harpertown()
 	n := m.NumCores()
 	tlbs := make([]*tlb.TLB, n)
-	view := make(comm.TLBView, n)
 	placement := make([]int, n)
 	for i := range tlbs {
 		tlbs[i] = tlb.New(tlb.DefaultConfig)
-		view[i] = tlbs[i]
 		placement[i] = i
 	}
 	return sim.CheckEnv{
@@ -33,7 +31,7 @@ func testEnv() sim.CheckEnv {
 		AS:        vm.NewAddressSpace(),
 		System:    mem.NewSystem(m, mem.DefaultL1Config, mem.DefaultL2Config),
 		TLB:       func(core int) *tlb.TLB { return tlbs[core] },
-		View:      view,
+		View:      comm.NewTLBView(tlbs),
 		Placement: placement,
 	}
 }
@@ -185,11 +183,38 @@ func TestTLBCatchesWrongFrame(t *testing.T) {
 
 func TestTLBCatchesBrokenDetectorView(t *testing.T) {
 	env := testEnv()
-	// The detector view of thread 0 points at the wrong core's TLB.
-	env.View[0] = env.TLB(5)
+	// The detector view names thread 0 on core 5 as well as on core 0.
+	env.View.ThreadOf[5] = 0
 	s := NewSuite()
 	s.Begin(env)
 	wantViolation(t, s, "tlb", "mirror")
+}
+
+func TestTLBCatchesMiswiredPresenceIndex(t *testing.T) {
+	env := testEnv()
+	n := env.Machine.NumCores()
+	tlbs := make([]*tlb.TLB, n)
+	reversed := make([]*tlb.TLB, n)
+	for c := range tlbs {
+		tlbs[c] = tlb.New(tlb.DefaultConfig)
+	}
+	for c := range reversed {
+		reversed[c] = tlbs[n-1-c]
+	}
+	env.TLB = func(core int) *tlb.TLB { return tlbs[core] }
+	// Slot c of the index is core n-1-c's TLB instead of core c's.
+	env.View = comm.NewTLBView(reversed)
+	tr, err := env.AS.Translate(env.AS.Alloc(4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSuite()
+	s.Begin(env)
+	tlbs[0].Insert(tr)
+	if err := s.CheckNow(); err == nil {
+		t.Fatal("CheckNow accepted a presence index whose slots are not the cores' TLBs")
+	}
+	wantViolation(t, s, "tlb", "lacks page")
 }
 
 func TestTLBCatchesPlacementMismatch(t *testing.T) {

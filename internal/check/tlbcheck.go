@@ -19,16 +19,16 @@ const sweepEvery = 2048
 //  2. every resident TLB entry on every core must map an allocated page to
 //     its recorded frame (swept periodically and at the end of the run);
 //  3. the detector-facing TLB view — the "mirror in main memory" the
-//     paper's SM mechanism reads — must always equal the physical TLB of
-//     the core each thread currently runs on, including right after a
-//     migration rebuilds the view;
+//     paper's SM mechanism reads — must always name, for each core, the
+//     thread currently running there, including right after a migration
+//     rewrites the view;
 //  4. the placement consulted per access must agree with the engine's
 //     thread -> core permutation;
-//  5. when the run carries an inverted page-presence index, its
-//     incrementally maintained state must equal a from-scratch
-//     recomputation over the TLB contents — the structure the indexed
-//     detection paths answer from must never drift from the TLBs it
-//     mirrors, including across flushes, shootdowns and migrations.
+//  5. when the run carries a view, its presence index must equal a
+//     from-scratch recomputation over the TLB contents, and slot c must
+//     hold every page core c's TLB holds — the structure detection
+//     answers from must never drift from the TLBs it mirrors, including
+//     across flushes, shootdowns and migrations.
 type tlbChecker struct {
 	s *Suite
 
@@ -75,12 +75,15 @@ func (t *tlbChecker) onMigration(placement []int) {
 	t.checkView()
 }
 
-// checkView proves the detector-facing view mirrors the physical TLBs.
+// checkView proves the detector-facing view's slot -> thread table is
+// the inverse of the placement.
 func (t *tlbChecker) checkView() {
-	for th := range t.env.View {
-		if t.env.View[th] != t.env.TLB(t.env.Placement[th]) {
-			t.s.reportf("tlb", "detector view of thread %d does not mirror the TLB of its core %d",
-				th, t.env.Placement[th])
+	if t.env.View.Index == nil {
+		return
+	}
+	for th, c := range t.env.Placement {
+		if int(t.env.View.ThreadOf[c]) != th {
+			t.s.reportf("tlb", "detector view of thread %d does not mirror the TLB of its core %d", th, c)
 		}
 	}
 }
@@ -112,13 +115,26 @@ func (t *tlbChecker) sweep() {
 }
 
 // checkPresence proves the presence index agrees with the TLBs it
-// mirrors (invariant 5). Validate recomputes the index from scratch, so
-// this runs on the amortized sweep cadence, not per access.
+// mirrors (invariant 5). Validate recomputes the index from scratch over
+// the TLBs attached to it; the per-core pass proves slot c is core c's
+// TLB. Both walk every resident entry, so this runs on the amortized
+// sweep cadence, not per access.
 func (t *tlbChecker) checkPresence() {
-	if t.env.Presence == nil {
+	ix := t.env.View.Index
+	if ix == nil {
 		return
 	}
-	if err := t.env.Presence.Validate(); err != nil {
+	if err := ix.Validate(); err != nil {
 		t.s.reportf("tlb", "presence index diverged from TLB contents: %v", err)
+		return
+	}
+	for c := 0; c < t.env.Machine.NumCores(); c++ {
+		for _, p := range t.env.TLB(c).ResidentPages() {
+			if m := ix.Holders(p); m == nil || m[c>>6]&(1<<(uint(c)&63)) == 0 {
+				t.s.reportf("tlb", "presence index slot %d lacks page %#x, which core %d's TLB holds",
+					c, uint64(p), c)
+				return
+			}
+		}
 	}
 }

@@ -3,7 +3,6 @@ package comm
 import (
 	"math/bits"
 
-	"tlbmap/internal/tlb"
 	"tlbmap/internal/vm"
 )
 
@@ -16,12 +15,6 @@ const (
 	// TLBs set-by-set.
 	HMScanCycles = 84297
 )
-
-// TLBView gives a detector read access to every core's TLB (the OS-visible
-// mirrors of Section IV-A, or the new TLB-read instruction of Section IV-B).
-// Index k is the TLB of core k. During a detection run threads are pinned
-// one-to-one to cores, so core indices are thread indices.
-type TLBView []*tlb.TLB
 
 // Detector observes the simulated execution and accumulates a communication
 // matrix. The engine invokes the hooks; a detector implements the ones it
@@ -42,8 +35,6 @@ type Detector interface {
 	MaybeScan(now uint64, tlbs TLBView) uint64
 	// Matrix returns the communication matrix accumulated so far.
 	Matrix() *Matrix
-	// Searches returns how many times the detection routine ran.
-	Searches() uint64
 }
 
 // NeverScans is an optional capability marker: a detector implementing it
@@ -82,16 +73,13 @@ func (NullDetector) MaybeScan(uint64, TLBView) uint64 { return 0 }
 // Matrix implements Detector.
 func (NullDetector) Matrix() *Matrix { return nil }
 
-// Searches implements Detector.
-func (NullDetector) Searches() uint64 { return 0 }
-
 // SMDetector implements the software-managed TLB mechanism of Figure 1a:
 // every TLB miss traps to the OS; on every SampleEvery-th miss of a core,
-// the missing page is searched in all other cores' TLB mirrors and each
-// match increments the communication matrix.
+// the missing page is searched in all other cores' TLB mirrors (SMSearch)
+// and each match increments the communication matrix.
 //
 // With a set-associative TLB only the page's set is probed in each remote
-// TLB, so the search is Θ(P) (Table I).
+// TLB, so the modelled search is Θ(P) (Table I).
 type SMDetector struct {
 	matrix *Matrix
 	// SampleEvery is the paper's n: a search runs on every n-th miss.
@@ -100,14 +88,7 @@ type SMDetector struct {
 	sampleEvery uint64
 	counters    []uint64 // per-core miss counters (the flowchart counter)
 	searches    uint64
-	sampled     uint64 // misses for which a search ran
 	missTotal   uint64
-
-	// binding answers "which other cores hold this page" from the
-	// presence index in O(mask words) instead of probing every remote
-	// TLB's set; indexed counts the searches that took that path.
-	binding indexBinding
-	indexed uint64
 }
 
 // NewSMDetector builds an SM detector for n threads sampling every
@@ -147,44 +128,9 @@ func (d *SMDetector) OnTLBMiss(thread int, page vm.Page, tlbs TLBView) uint64 {
 	}
 	d.counters[thread] = 0
 	d.searches++
-	d.sampled++
-	if d.binding.bind(tlbs) {
-		// Indexed path: one lookup yields the holder mask; iterate its
-		// set bits. The increments are the same cells the probe loop
-		// below would touch (matrix sums commute), the charge identical.
-		d.indexed++
-		if mask := d.binding.ix.Holders(page); mask != nil {
-			threadOf := d.binding.threadOf
-			for w, word := range mask {
-				base := w << 6
-				for word != 0 {
-					slot := base + bits.TrailingZeros64(word)
-					word &= word - 1
-					if th := threadOf[slot]; th >= 0 && int(th) != thread {
-						d.matrix.Inc(thread, int(th))
-					}
-				}
-			}
-		}
-		return SMSearchCycles
-	}
-	for other := range tlbs {
-		if other == thread {
-			continue
-		}
-		if tlbs[other].Contains(page) {
-			d.matrix.Inc(thread, other)
-		}
-	}
+	SMSearch(d.matrix, tlbs, thread, page)
 	return SMSearchCycles
 }
-
-// UsePresenceIndex implements PresenceIndexUser.
-func (d *SMDetector) UsePresenceIndex(ix *tlb.PresenceIndex) { d.binding.use(ix) }
-
-// IndexedSearches returns how many searches were answered from the
-// presence index rather than by probing remote TLBs.
-func (d *SMDetector) IndexedSearches() uint64 { return d.indexed }
 
 // MaybeScan implements Detector (SM never scans periodically).
 func (d *SMDetector) MaybeScan(uint64, TLBView) uint64 { return 0 }
@@ -192,7 +138,7 @@ func (d *SMDetector) MaybeScan(uint64, TLBView) uint64 { return 0 }
 // Matrix implements Detector.
 func (d *SMDetector) Matrix() *Matrix { return d.matrix }
 
-// Searches implements Detector.
+// Searches returns how many times the detection routine ran.
 func (d *SMDetector) Searches() uint64 { return d.searches }
 
 // SampledFraction returns the fraction of TLB misses for which a search ran
@@ -201,7 +147,7 @@ func (d *SMDetector) SampledFraction() float64 {
 	if d.missTotal == 0 {
 		return 0
 	}
-	return float64(d.sampled) / float64(d.missTotal)
+	return float64(d.searches) / float64(d.missTotal)
 }
 
 // HMDetector implements the hardware-managed TLB mechanism of Figure 1b:
@@ -209,21 +155,15 @@ func (d *SMDetector) SampledFraction() float64 {
 // TLB-read instruction) and compares all pairs set-by-set, incrementing the
 // communication matrix for each matching entry.
 //
-// The pairwise set-by-set comparison is Θ(P²·S) (Table I).
+// The modelled pairwise set-by-set comparison is Θ(P²·S) (Table I); the
+// host walks the presence index once instead, Θ(resident pages).
 type HMDetector struct {
 	matrix   *Matrix
 	interval uint64
 	lastScan uint64
 	searches uint64
 	started  bool
-
-	// binding turns the Θ(P²·S·W²) pairwise host scan into one walk of
-	// the presence index, Θ(resident pages); holders is the per-scan
-	// scratch of threads holding the current page. indexed counts the
-	// scans that took that path.
-	binding indexBinding
-	holders []int32
-	indexed uint64
+	holders  []int32 // per-scan scratch: threads holding the current page
 }
 
 // NewHMDetector builds an HM detector for n threads scanning every interval
@@ -250,11 +190,10 @@ func (d *HMDetector) OnTLBMiss(int, vm.Page, TLBView) uint64 { return 0 }
 
 // MaybeScan implements the Figure 1b flowchart: if fewer than Interval
 // cycles passed since the last scan, return; otherwise record the scan
-// time and count the pages shared by each pair of TLBs. With a presence
-// index armed the count comes from one walk of the index; otherwise all
-// pairs of TLBs are compared set by set (pairwiseScan). Both paths
-// produce byte-identical matrices — the randomized differential test in
-// presence_test.go holds them to that.
+// time and count the pages shared by each pair of TLBs, from one walk of
+// the presence index. The matrix is byte-identical to comparing all pairs
+// of TLBs set by set — the randomized differential in presence_test.go
+// holds it to that literal scan.
 //
 // The simulated scan cost is always the full Θ(P²·S) HMScanCycles of
 // Table I — the modelled OS compares every pair of sets regardless of
@@ -272,71 +211,39 @@ func (d *HMDetector) MaybeScan(now uint64, tlbs TLBView) uint64 {
 		return 0
 	}
 	d.lastScan = now
-	if len(tlbs) == 0 {
+	if tlbs.Index == nil {
 		return 0
 	}
 	d.searches++
-	if d.binding.bind(tlbs) {
-		d.indexed++
-		d.indexedScan()
-	} else {
-		d.pairwiseScan(tlbs)
-	}
+	d.scan(tlbs)
 	return HMScanCycles
 }
 
-// pairwiseScan is the literal Figure 1b comparison: all pairs of TLBs,
-// set by set. It is retained as the reference the indexed path is proven
-// against (and as the fallback for standalone views with no index). On
-// the host side, a pair comparison against an empty set can never match,
-// so it consults the TLBs' incremental occupancy counts and elides those
-// MatchesInSet calls entirely; the matrix is unchanged.
-func (d *HMDetector) pairwiseScan(tlbs TLBView) {
-	sets := tlbs[0].Config().Sets()
-	for i := 0; i < len(tlbs); i++ {
-		ti := tlbs[i]
-		for j := i + 1; j < len(tlbs); j++ {
-			tj := tlbs[j]
-			for s := 0; s < sets; s++ {
-				if ti.SetLen(s) == 0 || tj.SetLen(s) == 0 {
-					continue
-				}
-				if n := tlb.MatchesInSet(ti, tj, s); n > 0 {
-					d.matrix.Add(i, j, uint64(n))
-				}
-			}
-		}
-	}
-}
-
-// indexedScan walks the presence index once: every resident page
-// contributes one unit of communication to each pair of view threads
-// holding it. A page resident in TLBs i and j is exactly one
-// MatchesInSet match of the pairwise scan (both TLBs map it to the same
-// set under a shared geometry), and matrix addition commutes, so the
-// accumulated matrix is byte-identical. Walk batches runs of pages with
-// equal holder masks, so a dense shared working set costs a handful of
-// pair updates rather than one per page. The pair loop adds into the
-// matrix's upper-triangle cells directly: it is the hottest loop of a
-// manycore HM run, and a call per pair costs more than the add.
-func (d *HMDetector) indexedScan() {
-	threadOf := d.binding.threadOf
+// scan walks the presence index once: every resident page contributes
+// one unit of communication to each pair of threads holding it. A page
+// resident in TLBs i and j is exactly one set match of the pairwise scan
+// (both TLBs map it to the same set under a shared geometry), and matrix
+// addition commutes, so the accumulated matrix is byte-identical. Walk
+// batches runs of pages with equal holder masks, so a dense shared
+// working set costs a handful of pair updates rather than one per page.
+// The pair loop adds into the matrix's upper-triangle cells directly: it
+// is the hottest loop of a manycore HM run, and a call per pair costs
+// more than the add.
+func (d *HMDetector) scan(tlbs TLBView) {
+	threadOf := tlbs.ThreadOf
 	if cap(d.holders) < len(threadOf) {
 		d.holders = make([]int32, len(threadOf))
 	}
 	holders := d.holders[:cap(d.holders)]
 	n, cells := d.matrix.n, d.matrix.cells
-	d.binding.ix.Walk(func(mask []uint64, count int) {
+	tlbs.Index.Walk(func(mask []uint64, count int) {
 		cnt := 0
 		for w, word := range mask {
 			base := w << 6
 			for word != 0 {
-				slot := base + bits.TrailingZeros64(word)
+				holders[cnt] = threadOf[base+bits.TrailingZeros64(word)]
+				cnt++
 				word &= word - 1
-				if th := threadOf[slot]; th >= 0 {
-					holders[cnt] = th
-					cnt++
-				}
 			}
 		}
 		c := uint64(count)
@@ -355,17 +262,10 @@ func (d *HMDetector) indexedScan() {
 	})
 }
 
-// UsePresenceIndex implements PresenceIndexUser.
-func (d *HMDetector) UsePresenceIndex(ix *tlb.PresenceIndex) { d.binding.use(ix) }
-
-// IndexedScans returns how many scans walked the presence index rather
-// than comparing TLB pairs.
-func (d *HMDetector) IndexedScans() uint64 { return d.indexed }
-
 // Matrix implements Detector.
 func (d *HMDetector) Matrix() *Matrix { return d.matrix }
 
-// Searches implements Detector.
+// Searches returns how many times the detection routine ran.
 func (d *HMDetector) Searches() uint64 { return d.searches }
 
 // Granularity selects the sharing granularity of the oracle detector.
@@ -408,8 +308,7 @@ type OracleDetector struct {
 	// single access, and in-place updates through a pointer avoid both the
 	// map's hash/bucket overhead and the copy-out/copy-in of the history
 	// value.
-	last     *blockTable
-	accesses uint64
+	last *blockTable
 }
 
 // historyDepth is the number of distinct recent accessors remembered per
@@ -481,7 +380,6 @@ func (d *OracleDetector) Name() string { return "oracle" }
 // (page or 64-byte line, per the configured granularity) was last touched
 // by a different thread.
 func (d *OracleDetector) OnAccess(thread int, addr vm.Addr) {
-	d.accesses++
 	var block uint64
 	if d.granularity == PageGranularity {
 		block = uint64(addr.Page())
@@ -520,6 +418,3 @@ func (d *OracleDetector) DetectorNeverScans() {}
 
 // Matrix implements Detector.
 func (d *OracleDetector) Matrix() *Matrix { return d.matrix }
-
-// Searches implements Detector: the oracle "searches" on every access.
-func (d *OracleDetector) Searches() uint64 { return d.accesses }

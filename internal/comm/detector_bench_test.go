@@ -1,19 +1,20 @@
 package comm
 
 import (
+	"fmt"
 	"testing"
 
 	"tlbmap/internal/tlb"
 	"tlbmap/internal/vm"
 )
 
-// benchTLBs builds a TLB view with every TLB warmed with fill pages. Pages
-// are consecutive per core (core i holds i*Entries .. i*Entries+fill-1), so
-// they spread across sets round-robin: fill = Entries leaves every set full,
-// small fills occupy only the first few sets (the elision path), and no page
-// is shared between cores.
-func benchTLBs(cores, fill int) TLBView {
-	tlbs := make(TLBView, cores)
+// benchTLBs builds cores TLBs, each warmed with fill pages. Pages are
+// consecutive per core (core i holds i*Entries .. i*Entries+fill-1), so
+// they spread across sets round-robin: fill = Entries leaves every set
+// full, small fills occupy only the first few sets, and no page is shared
+// between cores.
+func benchTLBs(cores, fill int) []*tlb.TLB {
+	tlbs := make([]*tlb.TLB, cores)
 	for i := range tlbs {
 		tlbs[i] = tlb.New(tlb.DefaultConfig)
 		for p := 0; p < fill; p++ {
@@ -23,71 +24,43 @@ func benchTLBs(cores, fill int) TLBView {
 	return tlbs
 }
 
+// benchView is benchTLBs behind a view, as the engine hands it to the
+// detectors.
+func benchView(cores, fill int) TLBView { return NewTLBView(benchTLBs(cores, fill)) }
+
 // BenchmarkDetectors measures the per-event host cost of each detection
-// routine in isolation and reports an events/sec custom metric (one
-// "event" is one hook invocation: a miss for SM, a scan for HM, an access
-// for the oracle). scripts/bench.sh records these numbers in
-// BENCH_engine.json.
+// routine in isolation, on the view the engine hands the detectors, and
+// reports an events/sec custom metric (one "event" is one hook
+// invocation: a miss for SM, a scan for HM, an access for the oracle).
+// scripts/bench.sh records these numbers in BENCH_engine.json.
 func BenchmarkDetectors(b *testing.B) {
 	const cores = 8
 	b.Run("SM/miss", func(b *testing.B) {
-		tlbs := benchTLBs(cores, tlb.DefaultConfig.Entries)
+		v := benchView(cores, tlb.DefaultConfig.Entries)
 		d := NewSMDetector(cores, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			d.OnTLBMiss(i%cores, vm.Page(i), tlbs)
+			d.OnTLBMiss(i%cores, vm.Page(i), v)
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 	})
-	b.Run("HM/scan-full", func(b *testing.B) {
-		tlbs := benchTLBs(cores, tlb.DefaultConfig.Entries)
-		d := NewHMDetector(cores, 1)
-		d.MaybeScan(1, tlbs) // arming call: the first MaybeScan never scans
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d.MaybeScan(uint64(2*i+4), tlbs)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-	})
-	b.Run("HM/scan-sparse", func(b *testing.B) {
-		// Two resident pages per TLB: the empty-set elision path.
-		tlbs := benchTLBs(cores, 2)
-		d := NewHMDetector(cores, 1)
-		d.MaybeScan(1, tlbs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d.MaybeScan(uint64(2*i+4), tlbs)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-	})
-	// The indexed variants measure the presence-index scan against the
-	// pairwise scans above on identical fills: the same TLB contents,
-	// attached to an index the detector answers from.
 	for _, fc := range []struct {
 		name string
 		fill int
 	}{
-		{"dense", tlb.DefaultConfig.Entries},
-		{"sparse", 2},
+		{"full", tlb.DefaultConfig.Entries},
+		{"sparse", 2}, // two resident pages per TLB
 	} {
 		fc := fc
-		b.Run("HM/scan-indexed/"+fc.name, func(b *testing.B) {
-			tlbs := benchTLBs(cores, fc.fill)
-			ix := tlb.NewPresenceIndex(cores)
-			for _, tl := range tlbs {
-				ix.Attach(tl)
-			}
+		b.Run("HM/scan-"+fc.name, func(b *testing.B) {
+			v := benchView(cores, fc.fill)
 			d := NewHMDetector(cores, 1)
-			d.UsePresenceIndex(ix)
-			d.MaybeScan(1, tlbs)
+			d.MaybeScan(1, v) // arming call: the first MaybeScan never scans
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d.MaybeScan(uint64(2*i+4), tlbs)
+				d.MaybeScan(uint64(2*i+4), v)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-			if d.IndexedScans() != d.Searches() {
-				b.Fatalf("only %d/%d scans were indexed", d.IndexedScans(), d.Searches())
-			}
 		})
 	}
 	b.Run("oracle/access", func(b *testing.B) {
@@ -100,4 +73,54 @@ func BenchmarkDetectors(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 	})
+}
+
+// Table I: empirical Θ(P) vs Θ(P²·S) scaling of the literal detection
+// routines the paper's OS runs (and the simulated charges model): the
+// probe of the missing page's set in every remote TLB, and the pairwise
+// set-by-set scan. Compare the per-op times across core counts.
+
+// table1TLBs fills every TLB with the same Entries pages, so every set is
+// full: each probe finds the page and each set comparison is a full
+// Ways × Ways compare.
+func table1TLBs(cores int) []*tlb.TLB {
+	cfg := tlb.DefaultConfig
+	tlbs := make([]*tlb.TLB, cores)
+	for i := range tlbs {
+		tlbs[i] = tlb.New(cfg)
+		for p := 0; p < cfg.Entries; p++ {
+			tlbs[i].Insert(vm.Translation{Page: vm.Page(p), Frame: vm.Frame(p)})
+		}
+	}
+	return tlbs
+}
+
+// BenchmarkTable1SMSearch measures the software-managed search (Θ(P): one
+// set probe per remote TLB).
+func BenchmarkTable1SMSearch(b *testing.B) {
+	for _, cores := range []int{2, 8, 32} {
+		b.Run(fmt.Sprintf("cores%d", cores), func(b *testing.B) {
+			tlbs := table1TLBs(cores)
+			m := NewMatrix(cores)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				probeSearch(m, tlbs, 0, vm.Page(i%tlb.DefaultConfig.Entries))
+			}
+		})
+	}
+}
+
+// BenchmarkTable1HMScan measures the hardware-managed scan (Θ(P²·S): all
+// pairs of TLBs, set by set).
+func BenchmarkTable1HMScan(b *testing.B) {
+	for _, cores := range []int{2, 8, 32} {
+		b.Run(fmt.Sprintf("cores%d", cores), func(b *testing.B) {
+			tlbs := table1TLBs(cores)
+			m := NewMatrix(cores)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pairwiseScan(m, tlbs)
+			}
+		})
+	}
 }

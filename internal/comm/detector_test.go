@@ -7,21 +7,23 @@ import (
 	"tlbmap/internal/vm"
 )
 
-func view(n int) TLBView {
-	v := make(TLBView, n)
-	for i := range v {
-		v[i] = tlb.New(tlb.Config{Entries: 16, Ways: 4})
+// view builds n standalone TLBs behind a fresh view, thread i on TLB i,
+// and returns the TLBs too so tests can fill them.
+func view(n int) (TLBView, []*tlb.TLB) {
+	tlbs := make([]*tlb.TLB, n)
+	for i := range tlbs {
+		tlbs[i] = tlb.New(tlb.Config{Entries: 16, Ways: 4})
 	}
-	return v
+	return NewTLBView(tlbs), tlbs
 }
 
-func insert(v TLBView, core int, p vm.Page) {
-	v[core].Insert(vm.Translation{Page: p, Frame: vm.Frame(p)})
+func insert(tlbs []*tlb.TLB, core int, p vm.Page) {
+	tlbs[core].Insert(vm.Translation{Page: p, Frame: vm.Frame(p)})
 }
 
 func TestSMDetectorSampling(t *testing.T) {
-	v := view(2)
-	insert(v, 1, 7) // thread 1 holds page 7
+	v, tl := view(2)
+	insert(tl, 1, 7) // thread 1 holds page 7
 	d := NewSMDetector(2, 3)
 	// First two misses are below the threshold: no search.
 	if c := d.OnTLBMiss(0, 7, v); c != 0 {
@@ -46,7 +48,7 @@ func TestSMDetectorSampling(t *testing.T) {
 }
 
 func TestSMDetectorPerThreadCounters(t *testing.T) {
-	v := view(2)
+	v, _ := view(2)
 	d := NewSMDetector(2, 2)
 	// Interleave misses of two threads: each thread has its own counter
 	// (the flowchart counter lives in the per-core trap handler).
@@ -62,8 +64,8 @@ func TestSMDetectorPerThreadCounters(t *testing.T) {
 }
 
 func TestSMDetectorNoMatchesOnPrivatePages(t *testing.T) {
-	v := view(3)
-	insert(v, 0, 1)
+	v, tl := view(3)
+	insert(tl, 0, 1)
 	d := NewSMDetector(3, 1)
 	d.OnTLBMiss(0, 99, v) // nobody holds page 99
 	if d.Matrix().Total() != 0 {
@@ -73,17 +75,17 @@ func TestSMDetectorNoMatchesOnPrivatePages(t *testing.T) {
 
 func TestSMDetectorZeroSampleDefaultsToOne(t *testing.T) {
 	d := NewSMDetector(2, 0)
-	v := view(2)
-	insert(v, 1, 5)
+	v, tl := view(2)
+	insert(tl, 1, 5)
 	if c := d.OnTLBMiss(0, 5, v); c != SMSearchCycles {
 		t.Error("sampleEvery 0 should behave as 1")
 	}
 }
 
 func TestHMDetectorScanInterval(t *testing.T) {
-	v := view(2)
-	insert(v, 0, 3)
-	insert(v, 1, 3)
+	v, tl := view(2)
+	insert(tl, 0, 3)
+	insert(tl, 1, 3)
 	d := NewHMDetector(2, 100)
 	// The very first call only arms the detector (TLBs start empty in a
 	// real run).
@@ -109,10 +111,10 @@ func TestHMDetectorScanInterval(t *testing.T) {
 }
 
 func TestHMDetectorCountsAllPairs(t *testing.T) {
-	v := view(4)
+	v, tl := view(4)
 	// Page 3 resident everywhere: every pair matches.
 	for c := 0; c < 4; c++ {
-		insert(v, c, 3)
+		insert(tl, c, 3)
 	}
 	d := NewHMDetector(4, 10)
 	d.MaybeScan(0, v)
@@ -123,11 +125,11 @@ func TestHMDetectorCountsAllPairs(t *testing.T) {
 }
 
 func TestHMDetectorMultipleMatchesPerPair(t *testing.T) {
-	v := view(2)
-	insert(v, 0, 1)
-	insert(v, 0, 2)
-	insert(v, 1, 1)
-	insert(v, 1, 2)
+	v, tl := view(2)
+	insert(tl, 0, 1)
+	insert(tl, 0, 2)
+	insert(tl, 1, 1)
+	insert(tl, 1, 2)
 	d := NewHMDetector(2, 10)
 	d.MaybeScan(0, v)
 	d.MaybeScan(20, v)
@@ -193,18 +195,18 @@ func TestOracleHistoryBounded(t *testing.T) {
 
 func TestNullDetector(t *testing.T) {
 	var d NullDetector
-	if d.Name() != "none" || d.Matrix() != nil || d.Searches() != 0 {
+	if d.Name() != "none" || d.Matrix() != nil {
 		t.Error("null detector misbehaves")
 	}
-	if d.OnTLBMiss(0, 0, nil) != 0 || d.MaybeScan(0, nil) != 0 {
+	if d.OnTLBMiss(0, 0, TLBView{}) != 0 || d.MaybeScan(0, TLBView{}) != 0 {
 		t.Error("null detector charged cycles")
 	}
 	d.OnAccess(0, 0)
 }
 
 func TestMultiDetectorFanOut(t *testing.T) {
-	v := view(2)
-	insert(v, 1, 4)
+	v, tl := view(2)
+	insert(tl, 1, 4)
 	sm := NewSMDetector(2, 1)
 	hm := NewHMDetector(2, 10)
 	or := NewOracleDetector(2, PageGranularity)
@@ -233,8 +235,8 @@ func TestMultiDetectorFanOut(t *testing.T) {
 	if multi.Name() != "multi" {
 		t.Error("name")
 	}
-	if multi.Searches() == 0 {
-		t.Error("searches not aggregated")
+	if sm.Searches() != 1 || hm.Searches() != 1 {
+		t.Errorf("children searched %d (SM) and %d (HM) times, want 1 each", sm.Searches(), hm.Searches())
 	}
 }
 

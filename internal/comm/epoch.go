@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"tlbmap/internal/tlb"
 	"tlbmap/internal/vm"
 )
 
@@ -80,16 +79,5 @@ func (d *EpochDetector) Epochs() []*Matrix { return d.epochs }
 // Matrix implements Detector: the whole-run matrix of the inner detector.
 func (d *EpochDetector) Matrix() *Matrix { return d.inner.Matrix() }
 
-// Searches implements Detector.
-func (d *EpochDetector) Searches() uint64 { return d.inner.Searches() }
-
 // Inner returns the wrapped detector.
 func (d *EpochDetector) Inner() Detector { return d.inner }
-
-// UsePresenceIndex implements PresenceIndexUser, forwarding to the inner
-// detector when it can exploit the index.
-func (d *EpochDetector) UsePresenceIndex(ix *tlb.PresenceIndex) {
-	if u, ok := d.inner.(PresenceIndexUser); ok {
-		u.UsePresenceIndex(ix)
-	}
-}

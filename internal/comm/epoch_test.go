@@ -11,12 +11,12 @@ func TestEpochDetectorSlicesTime(t *testing.T) {
 	d := NewEpochDetector(inner, 100)
 
 	// Arm the epoch clock.
-	d.MaybeScan(0, nil)
+	d.MaybeScan(0, TLBView{})
 
 	// Epoch 1: threads 0 and 1 share page 5.
 	d.OnAccess(0, vm.Page(5).Base())
 	d.OnAccess(1, vm.Page(5).Base())
-	d.MaybeScan(150, nil) // crosses the boundary: cut epoch 1
+	d.MaybeScan(150, TLBView{}) // crosses the boundary: cut epoch 1
 
 	// Epoch 2: threads 2 and 3 share page 9.
 	d.OnAccess(2, vm.Page(9).Base())
@@ -42,13 +42,13 @@ func TestEpochDetectorSlicesTime(t *testing.T) {
 func TestEpochDetectorDelegates(t *testing.T) {
 	inner := NewSMDetector(2, 1)
 	d := NewEpochDetector(inner, 1000)
-	v := view(2)
-	insert(v, 1, 3)
+	v, tl := view(2)
+	insert(tl, 1, 3)
 	if c := d.OnTLBMiss(0, 3, v); c != SMSearchCycles {
 		t.Error("miss not delegated")
 	}
-	if d.Searches() != 1 {
-		t.Error("searches not delegated")
+	if inner.Searches() != 1 {
+		t.Error("search not delegated")
 	}
 	if d.Name() != "SM+epochs" {
 		t.Errorf("name = %q", d.Name())
@@ -60,8 +60,8 @@ func TestEpochDetectorDelegates(t *testing.T) {
 
 func TestEpochDetectorWithNilMatrixInner(t *testing.T) {
 	d := NewEpochDetector(NullDetector{}, 10)
-	d.MaybeScan(0, nil)
-	d.MaybeScan(100, nil)
+	d.MaybeScan(0, TLBView{})
+	d.MaybeScan(100, TLBView{})
 	d.Flush()
 	if len(d.Epochs()) != 0 {
 		t.Error("epochs recorded for a matrix-less detector")
@@ -70,10 +70,10 @@ func TestEpochDetectorWithNilMatrixInner(t *testing.T) {
 
 func TestEpochDetectorZeroIntervalClamped(t *testing.T) {
 	d := NewEpochDetector(NewOracleDetector(2, PageGranularity), 0)
-	d.MaybeScan(0, nil)
+	d.MaybeScan(0, TLBView{})
 	d.OnAccess(0, 0)
 	d.OnAccess(1, 0)
-	d.MaybeScan(5, nil)
+	d.MaybeScan(5, TLBView{})
 	if len(d.Epochs()) != 1 {
 		t.Errorf("epochs = %d", len(d.Epochs()))
 	}

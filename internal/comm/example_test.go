@@ -28,12 +28,13 @@ func ExampleMatrix() {
 // hand: two TLBs, one shared page, one miss that triggers a search.
 func ExampleSMDetector() {
 	cfg := tlb.Config{Entries: 16, Ways: 4}
-	tlbs := comm.TLBView{tlb.New(cfg), tlb.New(cfg)}
+	tlbs := []*tlb.TLB{tlb.New(cfg), tlb.New(cfg)}
+	view := comm.NewTLBView(tlbs) // thread i runs on TLB i
 	// Core 1 already has page 7 resident.
 	tlbs[1].Insert(vm.Translation{Page: 7, Frame: 70})
 
 	det := comm.NewSMDetector(2, 1) // search on every miss
-	cost := det.OnTLBMiss(0, 7, tlbs)
+	cost := det.OnTLBMiss(0, 7, view)
 
 	fmt.Println("search cost (cycles):", cost)
 	fmt.Println("communication detected:", det.Matrix().At(0, 1))
@@ -45,13 +46,14 @@ func ExampleSMDetector() {
 // ExampleHMDetector shows the periodic all-pair scan of Figure 1b.
 func ExampleHMDetector() {
 	cfg := tlb.Config{Entries: 16, Ways: 4}
-	tlbs := comm.TLBView{tlb.New(cfg), tlb.New(cfg)}
+	tlbs := []*tlb.TLB{tlb.New(cfg), tlb.New(cfg)}
+	view := comm.NewTLBView(tlbs)
 	tlbs[0].Insert(vm.Translation{Page: 3, Frame: 30})
 	tlbs[1].Insert(vm.Translation{Page: 3, Frame: 30})
 
 	det := comm.NewHMDetector(2, 100)
-	det.MaybeScan(0, tlbs)   // arming call
-	det.MaybeScan(150, tlbs) // interval elapsed: scan runs
+	det.MaybeScan(0, view)   // arming call
+	det.MaybeScan(150, view) // interval elapsed: scan runs
 
 	fmt.Println("scans:", det.Searches())
 	fmt.Println("matches for pair (0,1):", det.Matrix().At(0, 1))

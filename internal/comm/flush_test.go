@@ -3,6 +3,7 @@ package comm
 import (
 	"testing"
 
+	"tlbmap/internal/tlb"
 	"tlbmap/internal/vm"
 )
 
@@ -11,8 +12,8 @@ import (
 // create: a scan or search that ran a moment ago would have found sharers,
 // but the entries are gone by the time the detector looks.
 
-func flushAll(v TLBView) {
-	for _, t := range v {
+func flushAll(tlbs []*tlb.TLB) {
+	for _, t := range tlbs {
 		t.Flush()
 	}
 }
@@ -20,9 +21,9 @@ func flushAll(v TLBView) {
 // An HM scan that runs right after a shootdown sees empty TLBs: it must
 // charge its normal cost, add nothing, and leave the matrix monotone.
 func TestHMScanAfterShootdownSeesNothing(t *testing.T) {
-	v := view(2)
-	insert(v, 0, 3)
-	insert(v, 1, 3)
+	v, tl := view(2)
+	insert(tl, 0, 3)
+	insert(tl, 1, 3)
 	d := NewHMDetector(2, 100)
 	d.MaybeScan(0, v)   // arm
 	d.MaybeScan(120, v) // counts the shared page
@@ -30,7 +31,7 @@ func TestHMScanAfterShootdownSeesNothing(t *testing.T) {
 		t.Fatalf("test premise broken: matrix(0,1) = %d", d.Matrix().At(0, 1))
 	}
 
-	flushAll(v) // the shootdown
+	flushAll(tl) // the shootdown
 	if c := d.MaybeScan(240, v); c != HMScanCycles {
 		t.Errorf("post-flush scan cost = %d, want %d (the scan still runs)", c, HMScanCycles)
 	}
@@ -39,8 +40,8 @@ func TestHMScanAfterShootdownSeesNothing(t *testing.T) {
 	}
 
 	// Re-populated TLBs are detected again on the next window.
-	insert(v, 0, 3)
-	insert(v, 1, 3)
+	insert(tl, 0, 3)
+	insert(tl, 1, 3)
 	d.MaybeScan(360, v)
 	if d.Matrix().At(0, 1) != 2 {
 		t.Errorf("detection did not recover after the flush: %d", d.Matrix().At(0, 1))
@@ -51,10 +52,10 @@ func TestHMScanAfterShootdownSeesNothing(t *testing.T) {
 // the search cost is still charged (the trap handler cannot know the search
 // will be fruitless) and no false pair is recorded.
 func TestSMSearchAfterShootdownFindsNothing(t *testing.T) {
-	v := view(2)
-	insert(v, 1, 7)
+	v, tl := view(2)
+	insert(tl, 1, 7)
 	d := NewSMDetector(2, 1)
-	flushAll(v)
+	flushAll(tl)
 	if c := d.OnTLBMiss(0, 7, v); c != SMSearchCycles {
 		t.Errorf("search cost = %d, want %d", c, SMSearchCycles)
 	}
@@ -70,14 +71,14 @@ func TestSMSearchAfterShootdownFindsNothing(t *testing.T) {
 // a window in which the detector saw nothing yields an all-zero epoch, and
 // the whole-run matrix stays the sum of the epochs.
 func TestEpochDetectorEntriesVanishMidEpoch(t *testing.T) {
-	v := view(2)
-	insert(v, 0, 3)
-	insert(v, 1, 3)
+	v, tl := view(2)
+	insert(tl, 0, 3)
+	insert(tl, 1, 3)
 	inner := NewHMDetector(2, 50)
 	d := NewEpochDetector(inner, 100)
 	d.MaybeScan(0, v)   // arm both clocks
 	d.MaybeScan(60, v)  // scan 1: sees the sharing
-	flushAll(v)         // entries vanish mid-epoch
+	flushAll(tl)        // entries vanish mid-epoch
 	d.MaybeScan(120, v) // scan 2 sees nothing; epoch 1 cut here
 	d.MaybeScan(240, v) // scan 3: still nothing; epoch 2 cut
 	d.Flush()
@@ -108,14 +109,14 @@ func TestEpochDetectorEntriesVanishMidEpoch(t *testing.T) {
 // A TLB that is flushed and refilled between two scans of the same window
 // pair must not double-count: each scan window stands alone.
 func TestHMScanFlushRefillCycleCountsPerWindow(t *testing.T) {
-	v := view(3)
+	v, tl := view(3)
 	d := NewHMDetector(3, 100)
 	d.MaybeScan(0, v)
 	for w := 1; w <= 4; w++ {
-		insert(v, 0, vm.Page(9))
-		insert(v, 2, vm.Page(9))
+		insert(tl, 0, vm.Page(9))
+		insert(tl, 2, vm.Page(9))
 		d.MaybeScan(uint64(w*120), v)
-		flushAll(v)
+		flushAll(tl)
 	}
 	if got := d.Matrix().At(0, 2); got != 4 {
 		t.Errorf("matrix(0,2) = %d, want 4 (one per window)", got)

@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"tlbmap/internal/tlb"
 	"tlbmap/internal/vm"
 )
 
@@ -55,24 +54,5 @@ func (m *MultiDetector) Matrix() *Matrix {
 	return m.children[0].Matrix()
 }
 
-// Searches implements Detector, summing over children.
-func (m *MultiDetector) Searches() uint64 {
-	var n uint64
-	for _, d := range m.children {
-		n += d.Searches()
-	}
-	return n
-}
-
 // Children returns the wrapped detectors.
 func (m *MultiDetector) Children() []Detector { return m.children }
-
-// UsePresenceIndex implements PresenceIndexUser, forwarding the index to
-// every child that can exploit it.
-func (m *MultiDetector) UsePresenceIndex(ix *tlb.PresenceIndex) {
-	for _, d := range m.children {
-		if u, ok := d.(PresenceIndexUser); ok {
-			u.UsePresenceIndex(ix)
-		}
-	}
-}

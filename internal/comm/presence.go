@@ -1,80 +1,56 @@
 package comm
 
 import (
+	"math/bits"
+
 	"tlbmap/internal/tlb"
+	"tlbmap/internal/vm"
 )
 
-// PresenceIndexUser is the optional capability the engine probes a
-// detector for: a detector implementing it is handed the run's inverted
-// page-presence index (tlb.PresenceIndex) at construction time and may
-// answer its TLB queries from the index instead of probing the TLBs.
-// Wrapper detectors (MultiDetector, EpochDetector, the fault layer's
-// wrapper) forward the call to their children so the capability survives
-// composition.
+// TLBView gives a detector read access to every core's TLB (the OS-visible
+// mirrors of Section IV-A, or the new TLB-read instruction of Section IV-B)
+// through one inverted page-presence index over them: for each resident
+// page, the set of index slots (one per TLB) holding a translation for it.
+// ThreadOf maps a slot to the thread currently running on that TLB's core,
+// so detector matrices come out indexed by thread; it is a permutation of
+// the threads, and the engine rewrites it when threads migrate.
 //
-// Using the index is strictly a host-side optimization: an indexed
-// detector must produce byte-identical matrices, search counts and
-// simulated cycle charges to its probe-based code path.
-type PresenceIndexUser interface {
-	UsePresenceIndex(ix *tlb.PresenceIndex)
+// The index is the only way detectors see the TLBs. It inverts the host
+// cost of both mechanisms: the SM search reads one holder mask instead of
+// probing a set in every remote TLB, and the HM scan walks the resident
+// pages once instead of comparing all TLB pairs set by set. The simulated
+// charges (SMSearchCycles, HMScanCycles) keep the paper's Table I
+// complexities regardless.
+type TLBView struct {
+	Index    *tlb.PresenceIndex
+	ThreadOf []int32
 }
 
-// indexBinding resolves presence-index slots (core-attached TLBs) to
-// positions in the detector-facing TLB view (threads). The view is
-// rebuilt when threads migrate, so the binding caches the view it was
-// computed for and recomputes the slot -> thread table only when the
-// pointers change — a P-wide pointer compare per detection event, against
-// the P set probes it replaces.
-type indexBinding struct {
-	ix       *tlb.PresenceIndex
-	sig      []*tlb.TLB // view snapshot the table below was computed for
-	threadOf []int32    // slot -> thread position in the view; -1 = absent
-	usable   bool       // every view TLB is attached to ix
-}
-
-// use points the binding at an index and invalidates any cached view.
-func (b *indexBinding) use(ix *tlb.PresenceIndex) {
-	b.ix = ix
-	b.sig = b.sig[:0]
-	b.usable = false
-}
-
-// bind prepares the slot -> thread table for the given view and reports
-// whether the indexed path may be taken: it requires an index and a view
-// made entirely of TLBs attached to it. Any foreign TLB (detectors are
-// also driven directly by tests and benchmarks against standalone views)
-// makes the binding unusable and the caller falls back to probing.
-func (b *indexBinding) bind(tlbs TLBView) bool {
-	if b.ix == nil || len(tlbs) == 0 {
-		return false
+// NewTLBView attaches the TLBs, in order, to a new presence index and
+// returns the view with TLB i running thread i. The TLBs keep the index
+// current on every Insert, Invalidate and Flush from then on.
+func NewTLBView(tlbs []*tlb.TLB) TLBView {
+	v := TLBView{Index: tlb.NewPresenceIndex(len(tlbs)), ThreadOf: make([]int32, len(tlbs))}
+	for i, t := range tlbs {
+		v.Index.Attach(t)
+		v.ThreadOf[i] = int32(i)
 	}
-	if len(b.sig) == len(tlbs) {
-		same := true
-		for i, t := range tlbs {
-			if b.sig[i] != t {
-				same = false
-				break
+	return v
+}
+
+// SMSearch is the search of Figure 1a: it adds one unit of communication
+// between thread and every other thread whose TLB holds page. Both planes
+// call it: SMDetector on a sampled miss in the engine, and mapperd on
+// every ingested miss. The caller charges SMSearchCycles.
+func SMSearch(m *Matrix, v TLBView, thread int, page vm.Page) {
+	for w, word := range v.Index.Holders(page) {
+		base := w << 6
+		for word != 0 {
+			slot := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			if th := int(v.ThreadOf[slot]); th != thread {
+				m.Inc(thread, th)
 			}
 		}
-		if same {
-			return b.usable
-		}
 	}
-	b.sig = append(b.sig[:0], tlbs...)
-	if cap(b.threadOf) < b.ix.Cores() {
-		b.threadOf = make([]int32, b.ix.Cores())
-	}
-	b.threadOf = b.threadOf[:b.ix.Cores()]
-	for i := range b.threadOf {
-		b.threadOf[i] = -1
-	}
-	b.usable = true
-	for t, tl := range tlbs {
-		if tl.PresenceIndex() != b.ix {
-			b.usable = false
-			return false
-		}
-		b.threadOf[tl.PresenceSlot()] = int32(t)
-	}
-	return b.usable
 }

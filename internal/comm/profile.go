@@ -181,8 +181,5 @@ func (d *ProfileDetector) MaybeScan(uint64, TLBView) uint64 { return 0 }
 // Matrix implements Detector (derived from the profile).
 func (d *ProfileDetector) Matrix() *Matrix { return d.profile.Matrix() }
 
-// Searches implements Detector.
-func (d *ProfileDetector) Searches() uint64 { return 0 }
-
 // Profile returns the accumulated page profile.
 func (d *ProfileDetector) Profile() *PageProfile { return d.profile }

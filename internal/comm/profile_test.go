@@ -99,7 +99,7 @@ func TestProfileDetector(t *testing.T) {
 	if d.Matrix().At(0, 1) != 1 {
 		t.Errorf("derived matrix: %s", d.Matrix())
 	}
-	if d.OnTLBMiss(0, 0, nil) != 0 || d.MaybeScan(0, nil) != 0 || d.Searches() != 0 {
+	if d.OnTLBMiss(0, 0, TLBView{}) != 0 || d.MaybeScan(0, TLBView{}) != 0 {
 		t.Error("profiler should be free")
 	}
 }

@@ -67,9 +67,6 @@ func (r *TraceRecorder) MaybeScan(uint64, TLBView) uint64 { return 0 }
 // point: the matrix only exists after a costly offline analysis pass.
 func (r *TraceRecorder) Matrix() *Matrix { return nil }
 
-// Searches implements Detector.
-func (r *TraceRecorder) Searches() uint64 { return 0 }
-
 // Flush drains the internal buffer and returns the first write error.
 func (r *TraceRecorder) Flush() error {
 	if r.err != nil {

@@ -74,7 +74,7 @@ func TestTraceRecorderDetectorContract(t *testing.T) {
 	if rec.Matrix() != nil {
 		t.Error("recorder should produce no matrix")
 	}
-	if rec.OnTLBMiss(0, 0, nil) != 0 || rec.MaybeScan(0, nil) != 0 || rec.Searches() != 0 {
+	if rec.OnTLBMiss(0, 0, TLBView{}) != 0 || rec.MaybeScan(0, TLBView{}) != 0 {
 		t.Error("recorder should be free at simulation time")
 	}
 }

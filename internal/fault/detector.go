@@ -2,7 +2,6 @@ package fault
 
 import (
 	"tlbmap/internal/comm"
-	"tlbmap/internal/tlb"
 	"tlbmap/internal/vm"
 )
 
@@ -132,18 +131,5 @@ func (d *faultyDetector) corrupt(m *comm.Matrix) {
 		} else {
 			m.Set(i, j, max) // saturate: stuck at the hottest cell's value
 		}
-	}
-}
-
-// Searches implements comm.Detector.
-func (d *faultyDetector) Searches() uint64 { return d.inner.Searches() }
-
-// UsePresenceIndex implements comm.PresenceIndexUser, forwarding to the
-// wrapped detector: the index stays consistent through injected flushes
-// and shootdowns because the TLBs themselves maintain it, so a faulted
-// detector may keep using the fast path.
-func (d *faultyDetector) UsePresenceIndex(ix *tlb.PresenceIndex) {
-	if u, ok := d.inner.(comm.PresenceIndexUser); ok {
-		u.UsePresenceIndex(ix)
 	}
 }

@@ -311,9 +311,6 @@ func TestWrappedDetectorForwards(t *testing.T) {
 	if w.Name() != "HM" {
 		t.Errorf("wrapped name = %q", w.Name())
 	}
-	if w.Searches() != 0 {
-		t.Errorf("fresh wrapped detector has %d searches", w.Searches())
-	}
 	if w.Matrix() == nil || w.Matrix().Total() != 0 {
 		t.Error("fresh wrapped detector's matrix not empty")
 	}

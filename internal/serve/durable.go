@@ -185,16 +185,15 @@ func (t *tenant) restoreState(data []byte) error {
 	if ntlbs != t.threads {
 		return fmt.Errorf("snapshot has %d TLBs, tenant has %d threads", ntlbs, t.threads)
 	}
-	// Restore the TLB slots first, then attach to a fresh presence index:
+	// Restore the TLB slots first, then attach them to a fresh view:
 	// Attach absorbs the already-resident translations, rebuilding the
-	// index without a separate serialized form.
-	t.presence = tlb.NewPresenceIndex(t.threads)
+	// presence index without a separate serialized form.
 	for i := 0; i < ntlbs; i++ {
 		if t.tlbs[i], data, err = tlb.DecodeState(data); err != nil {
 			return fmt.Errorf("snapshot TLB %d: %w", i, err)
 		}
-		t.presence.Attach(t.tlbs[i])
 	}
+	t.view = comm.NewTLBView(t.tlbs)
 	if len(data) < 4 {
 		return fmt.Errorf("snapshot truncated before dedup map")
 	}

@@ -37,52 +37,110 @@ func ingestLines(seed int64, threads, nlines, per int) [][]byte {
 	return lines
 }
 
+// missLines builds E-line wire bytes in which every thread cycles through
+// one pool of 128 shared pages, twice what a default TLB holds: with LRU
+// replacement every event misses, and the other threads near the same
+// point of the cycle hold the page. The lines carry exactly one cycle per
+// thread, so replaying them in a loop continues every cycle.
+func missLines(threads, per int) [][]byte {
+	lines := make([][]byte, threads*128/per)
+	k := 0
+	for i := range lines {
+		line := []byte("E")
+		for e := 0; e < per; e++ {
+			th := k % threads
+			line = append(line, ' ')
+			line = strconv.AppendInt(line, int64(th), 10)
+			line = append(line, ':')
+			line = strconv.AppendInt(line, int64(1+(k/threads+th)%128), 10)
+			k++
+		}
+		lines[i] = line
+	}
+	return lines
+}
+
 // TestIngestSteadyStateZeroAllocs is the serving-plane mirror of the
 // engine's TestSteadyStateZeroAllocs: once a connection is warmed up, the
-// whole ingest path — wire parse, batch copy, enqueue, response build —
-// must not allocate per event. It drives session.handle directly (exactly
-// what ServeConn calls per line) and waits for the applier after every
-// line so the slab recycling loop is exercised, then asserts the short/
-// long differential: fixed warmup costs cancel, per-event costs don't.
+// whole ingest path — wire parse, batch copy, enqueue, response build,
+// apply — must not allocate per event. It drives session.handle directly
+// (exactly what ServeConn calls per line) and waits for the applier after
+// every line so the slab recycling loop is exercised, then asserts the
+// short/long differential: fixed warmup costs cancel, per-event costs
+// don't. The stream keeps missing on pages other threads hold, so every
+// tenant size runs the search; at 512 threads a holder mask spans eight
+// words, which the search must read in place rather than copy.
 func TestIngestSteadyStateZeroAllocs(t *testing.T) {
-	const threads, per = 8, 50
-	s := New(Config{QueueCap: 64})
-	sess := &session{srv: s}
-	resp := make([]byte, 0, 256)
-	resp, _ = sess.handle([]byte("HELLO zeroalloc 8"), resp[:0])
-	if string(resp) != "OK" {
-		t.Fatalf("HELLO: %s", resp)
-	}
-	tn, err := s.lookup("zeroalloc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := ingestLines(1, threads, 64, per)
-
-	var sent uint64
-	run := func(n int) func() {
-		return func() {
-			for i := 0; i < n; i++ {
-				resp, _ = sess.handle(lines[i%len(lines)], resp[:0])
-				if len(resp) < 2 || resp[0] != 'O' {
-					panic("ingest: " + string(resp))
-				}
-				sent += per
-				for tn.applied.Load() < sent {
-					runtime.Gosched()
+	for _, threads := range []int{8, 64, 512} {
+		threads := threads
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			const per = 64
+			// Start from an empty slab pool: a slab an earlier test left
+			// there may be smaller than these lines, and copying a line
+			// into it grows it, which allocates. The warm-up below refills
+			// the pool with slabs that fit.
+			for drained := false; !drained; {
+				select {
+				case <-eventSlabs:
+				default:
+					drained = true
 				}
 			}
-		}
-	}
-	run(64)() // warm: grow scratch buffers, seed the slab pool
+			s := New(Config{QueueCap: 64})
+			t.Cleanup(func() {
+				if err := s.Drain(context.Background()); err != nil {
+					t.Error(err)
+				}
+			})
+			sess := &session{srv: s}
+			resp := make([]byte, 0, 256)
+			resp, _ = sess.handle([]byte(fmt.Sprintf("HELLO zeroalloc %d", threads)), resp[:0])
+			if string(resp) != "OK" {
+				t.Fatalf("HELLO: %s", resp)
+			}
+			tn, err := s.lookup("zeroalloc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := missLines(threads, per)
 
-	const shortN, longN = 25, 225
-	shortAllocs := testing.AllocsPerRun(5, run(shortN))
-	longAllocs := testing.AllocsPerRun(5, run(longN))
-	perEvent := (longAllocs - shortAllocs) / float64((longN-shortN)*per)
-	if perEvent > 0.01 {
-		t.Errorf("steady-state ingest allocates: %.4f allocs/event (short run %.0f, long run %.0f)",
-			perEvent, shortAllocs, longAllocs)
+			var sent uint64
+			next := 0 // the stream continues across runs
+			run := func(n int) func() {
+				return func() {
+					for i := 0; i < n; i++ {
+						resp, _ = sess.handle(lines[next%len(lines)], resp[:0])
+						next++
+						if len(resp) < 2 || resp[0] != 'O' {
+							panic("ingest: " + string(resp))
+						}
+						sent += per
+						for tn.applied.Load() < sent {
+							runtime.Gosched()
+						}
+					}
+				}
+			}
+			total := func() uint64 {
+				tn.mu.Lock()
+				defer tn.mu.Unlock()
+				return tn.matrix.Total()
+			}
+			run(64)() // warm: grow scratch buffers, seed the slab pool
+			warm := total()
+
+			const shortN, longN = 25, 225
+			shortAllocs := testing.AllocsPerRun(5, run(shortN))
+			longAllocs := testing.AllocsPerRun(5, run(longN))
+			perEvent := (longAllocs - shortAllocs) / float64((longN-shortN)*per)
+			if perEvent > 0.01 {
+				t.Errorf("steady-state ingest allocates: %.4f allocs/event (short run %.0f, long run %.0f)",
+					perEvent, shortAllocs, longAllocs)
+			}
+			if total() == warm {
+				t.Error("measured stream found no sharer: the search path went unexercised")
+			}
+		})
 	}
 }
 

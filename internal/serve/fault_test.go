@@ -178,7 +178,7 @@ func TestSampleLossOnIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn.mu.Lock()
-	pages := tn.presence.PageCount()
+	pages := tn.view.Index.PageCount()
 	tn.mu.Unlock()
 	if pages == 0 {
 		t.Error("presence index is empty: lost traps must still refill the TLB")
@@ -222,7 +222,7 @@ func TestShootdownStormOnIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn.mu.Lock()
-	verr := tn.presence.Validate()
+	verr := tn.view.Index.Validate()
 	tn.mu.Unlock()
 	if verr != nil {
 		t.Errorf("presence index inconsistent after storms: %v", verr)

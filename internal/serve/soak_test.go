@@ -111,7 +111,7 @@ func TestConcurrentIngestMatchesReplay(t *testing.T) {
 		if got, wantS := snap.Matrix.String(), replay.matrix.String(); got != wantS {
 			t.Errorf("%s: matrix rendering differs from replay:\n got %s\nwant %s", id, got, wantS)
 		}
-		if err := live.presence.Validate(); err != nil {
+		if err := live.view.Index.Validate(); err != nil {
 			t.Errorf("%s: presence index invalid after soak: %v", id, err)
 		}
 	}
@@ -273,7 +273,7 @@ func TestSoak1000Connections(t *testing.T) {
 			t.Fatal(err)
 		}
 		tn.mu.Lock()
-		err = tn.presence.Validate()
+		err = tn.view.Index.Validate()
 		tn.mu.Unlock()
 		if err != nil {
 			t.Errorf("%s: presence index invalid after soak: %v", id, err)

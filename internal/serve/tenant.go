@@ -35,7 +35,8 @@ type batch struct {
 }
 
 // tenant is one client application's detector state: per-thread TLBs
-// behind a presence index accumulating into a communication matrix, plus
+// seen through a presence index (thread i on slot i) accumulating into a
+// communication matrix, plus
 // the confidence-gated online mapper answering placement queries. All
 // mutation is serialized by the applier goroutine (ingest) and mu
 // (queries/snapshots interleaving with batches).
@@ -88,7 +89,7 @@ type tenant struct {
 
 	mu       sync.Mutex // guards everything below
 	tlbs     []*tlb.TLB
-	presence *tlb.PresenceIndex
+	view     comm.TLBView
 	matrix   *comm.Matrix
 	machine  *topology.Machine
 	online   *mapping.OnlineMapper
@@ -166,7 +167,6 @@ func newTenant(id string, threads int, cfg Config) (*tenant, error) {
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
 		tlbs:           make([]*tlb.TLB, threads),
-		presence:       tlb.NewPresenceIndex(threads),
 		matrix:         comm.NewMatrix(threads),
 		machine:        machine,
 		online:         mapping.NewOnlineMapper(machine, 0),
@@ -178,8 +178,8 @@ func newTenant(id string, threads int, cfg Config) (*tenant, error) {
 	t.commitCond = sync.NewCond(&t.commitMu)
 	for i := range t.tlbs {
 		t.tlbs[i] = tlb.New(cfg.TLB)
-		t.presence.Attach(t.tlbs[i])
 	}
+	t.view = comm.NewTLBView(t.tlbs)
 	if cfg.MinConfidence < 0 {
 		t.online.MinConfidence = 0
 	} else {
@@ -304,11 +304,11 @@ func (t *tenant) applyBatch(b batch) {
 }
 
 // applyOne is the SM detection step of Figure 1a, one sample at a time:
-// look the page up in the thread's TLB; on a miss, charge one unit of
-// communication with every thread currently holding a translation for the
-// page (one presence-index lookup instead of probing every remote TLB),
-// then refill. A hit only refreshes LRU state — resident pages are not
-// re-counted, mirroring the trap-driven mechanism.
+// look the page up in the thread's TLB; on a miss, run the engine's
+// search (comm.SMSearch) — one unit of communication with every thread
+// currently holding a translation for the page — then refill. A hit only
+// refreshes LRU state — resident pages are not re-counted, mirroring the
+// trap-driven mechanism.
 func (t *tenant) applyOne(e Event) {
 	if t.stormRng != nil && t.stormRng.Float64() < t.plan.Intensity[fault.ShootdownStorm]*stormPerEvent {
 		t.shootdown()
@@ -321,11 +321,7 @@ func (t *tenant) applyOne(e Event) {
 		// The trap is lost: the refill happens, the detector never sees it.
 		t.lost.Add(1)
 	} else {
-		t.presence.HoldersEach(e.Page, func(slot int) {
-			if slot != int(e.Thread) {
-				t.matrix.Add(int(e.Thread), slot, 1)
-			}
-		})
+		comm.SMSearch(t.matrix, t.view, int(e.Thread), e.Page)
 	}
 	tl.Insert(vm.Translation{Page: e.Page, Frame: vm.Frame(e.Page)})
 }

@@ -55,17 +55,14 @@ type CheckEnv struct {
 	// flushes — so this is the perturbation surface handed to the
 	// fault-injection layer; checkers normally only read.
 	FlushTLB func(core int)
-	// View is the detector-facing TLB view, indexed by THREAD. It must
-	// always mirror the physical TLBs: View[t] == TLB(Placement[t]).
+	// View is the detector-facing TLB view: the presence index whose slot
+	// c is TLB(c), and the slot -> thread table. It must always mirror the
+	// physical TLBs: View.ThreadOf[Placement[t]] == t, and the index must
+	// equal a from-scratch recomputation over the TLB contents. The zero
+	// view (no index) marks a null-detector run.
 	View comm.TLBView
 	// Placement is the live thread -> core permutation.
 	Placement []int
 	// SoftwareManaged reports the TLB refill mode of the run.
 	SoftwareManaged bool
-	// Presence is the run's inverted page-presence index, or nil when the
-	// detector does not use one. The per-core TLBs maintain it
-	// incrementally; checkers validate it against a from-scratch
-	// recomputation over the TLB contents (index-vs-TLB agreement is a
-	// runtime invariant).
-	Presence *tlb.PresenceIndex
 }

@@ -194,14 +194,12 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 	if det == nil {
 		det = comm.NullDetector{}
 	}
+	// Disarmed-detector fast path: every NullDetector hook is a no-op, so
+	// the hot loop skips the dynamic dispatch entirely (three interface
+	// calls per access add up over hundreds of millions of events).
+	_, nullDet := det.(comm.NullDetector)
 
 	system := mem.NewSystem(cfg.Machine, cfg.L1, cfg.L2)
-	// TLBs are physical per-CORE structures; the detector view is indexed
-	// by THREAD (the first-level TLB of the core the thread currently
-	// runs on), so detector matrices come out indexed by thread. When a
-	// Migrator moves threads, the view is rebuilt. Detection always reads
-	// the first level; the optional second level only changes miss costs
-	// on hardware-managed machines.
 	l2cfg := cfg.TLB2
 	if cfg.TLBMode == tlb.SoftwareManaged {
 		l2cfg = tlb.Config{}
@@ -210,31 +208,32 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 	for c := 0; c < n; c++ {
 		hier[c] = tlb.NewHierarchy(cfg.TLB, l2cfg)
 	}
-	tlbs := make(comm.TLBView, n) // indexed by thread
+
+	// Detectors read the TLBs through a presence index over every core's
+	// first-level TLB (the level detection reads; the optional second
+	// level only changes miss costs on hardware-managed machines). Slot c
+	// is core c's TLB, and the view's slot -> thread table makes detector
+	// matrices come out indexed by thread; a migration rewrites the table.
+	// The TLBs maintain the index through every Insert, Invalidate and
+	// Flush, the fault layer's shootdowns included. Null-detector runs
+	// build no index and pay nothing on the insert path.
+	var tlbs comm.TLBView
+	if !nullDet {
+		l1 := make([]*tlb.TLB, n)
+		for c := range l1 {
+			l1[c] = hier[c].L1()
+		}
+		tlbs = comm.NewTLBView(l1)
+	}
 	rebuildView := func() {
-		for t := 0; t < n; t++ {
-			tlbs[t] = hier[placement[t]].L1()
+		if tlbs.Index == nil {
+			return
+		}
+		for t, c := range placement {
+			tlbs.ThreadOf[c] = int32(t)
 		}
 	}
 	rebuildView()
-
-	// Inverted page-presence index: detectors that can exploit it get one
-	// index over every core's first-level TLB (the level detection reads).
-	// The TLBs maintain it incrementally through every Insert, Invalidate
-	// and Flush — including the fault layer's shootdowns, which go through
-	// the same TLB methods — so the HM scan and the SM remote-holder probe
-	// run in Θ(resident pages) / Θ(mask words) on the host while the
-	// simulated charges keep the paper's Table I complexities. Runs whose
-	// detector cannot use an index (null, oracle-only) skip it entirely
-	// and pay nothing on the insert path.
-	var presence *tlb.PresenceIndex
-	if iu, ok := det.(comm.PresenceIndexUser); ok {
-		presence = tlb.NewPresenceIndex(n)
-		for c := 0; c < n; c++ {
-			presence.Attach(hier[c].L1())
-		}
-		iu.UsePresenceIndex(presence)
-	}
 
 	missCost := uint64(vm.WalkCost)
 	if cfg.TLBMode == tlb.SoftwareManaged {
@@ -250,7 +249,6 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 		View:            tlbs,
 		Placement:       placement,
 		SoftwareManaged: cfg.TLBMode == tlb.SoftwareManaged,
-		Presence:        presence,
 	}
 	if cfg.Checker != nil {
 		if obs, ok := cfg.Checker.(mem.Observer); ok {
@@ -302,11 +300,6 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 		migScratch = make([]int, n)
 		moved = make([]int, 0, n)
 	}
-
-	// Disarmed-detector fast path: every NullDetector hook is a no-op, so
-	// the hot loop skips the dynamic dispatch entirely (three interface
-	// calls per access add up over hundreds of millions of events).
-	_, nullDet := det.(comm.NullDetector)
 
 	// The ready queue: runnable threads ordered by (clock, thread id). See
 	// sched.go for the equivalence argument with the linear scan it

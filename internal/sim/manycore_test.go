@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tlbmap/internal/comm"
+	"tlbmap/internal/metrics"
 	"tlbmap/internal/tlb"
 	"tlbmap/internal/topology"
 	"tlbmap/internal/trace"
@@ -69,7 +70,7 @@ func TestEngineAtNonPowerOfTwoCoreCounts(t *testing.T) {
 				if res.Accesses == 0 {
 					t.Fatal("no accesses simulated")
 				}
-				if det.Searches() == 0 {
+				if res.Counters.Get(metrics.DetectionSearches) == 0 {
 					t.Fatalf("%s run at %d cores performed no searches", mech, n)
 				}
 				m := res.Matrix

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tlbmap/internal/comm"
-	"tlbmap/internal/metrics"
 	"tlbmap/internal/tlb"
 	"tlbmap/internal/topology"
 	"tlbmap/internal/trace"
@@ -28,96 +27,49 @@ func presenceWorkload() (*vm.AddressSpace, *trace.Team) {
 	return as, team
 }
 
-// hideIndex wraps a detector so it no longer advertises the
-// PresenceIndexUser capability: the engine must then skip index
-// construction and the detector runs its probe/pairwise path. It is how
-// the engine-level differential below obtains a reference run.
-type hideIndex struct{ comm.Detector }
+// viewProbe is a Checker that records the detector view a run was armed
+// with.
+type viewProbe struct{ view comm.TLBView }
 
-// TestEngineWiresPresenceIndex proves sim.Run attaches the index to
-// capable detectors: every HM scan and every SM search of a normal run
-// must be answered from the index.
+func (p *viewProbe) Begin(env CheckEnv)                             { p.view = env.View }
+func (p *viewProbe) OnAccess(int, int, trace.Event, vm.Frame) error { return nil }
+func (p *viewProbe) OnMigration(uint64, []int) error                { return nil }
+func (p *viewProbe) Finish(*Result) error                           { return nil }
+
+// TestEngineWiresPresenceIndex proves sim.Run hands every detector but
+// the null one a view over all eight cores' TLBs, and that the detectors
+// find sharing through it; a null-detector run builds no index.
 func TestEngineWiresPresenceIndex(t *testing.T) {
-	t.Run("HM", func(t *testing.T) {
-		as, team := presenceWorkload()
-		det := comm.NewHMDetector(8, 50_000)
-		if _, err := Run(Config{Machine: topology.Harpertown(), Detector: det}, as, team); err != nil {
-			t.Fatal(err)
-		}
-		if det.Searches() == 0 {
-			t.Fatal("HM run performed no scans; workload too small")
-		}
-		if det.IndexedScans() != det.Searches() {
-			t.Fatalf("engine-driven HM answered %d/%d scans from the index, want all",
-				det.IndexedScans(), det.Searches())
-		}
-	})
-	t.Run("SM", func(t *testing.T) {
-		as, team := presenceWorkload()
-		det := comm.NewSMDetector(8, 1)
-		cfg := Config{Machine: topology.Harpertown(), TLBMode: tlb.SoftwareManaged, Detector: det}
-		if _, err := Run(cfg, as, team); err != nil {
-			t.Fatal(err)
-		}
-		if det.Searches() == 0 {
-			t.Fatal("SM run performed no searches; workload too small")
-		}
-		if det.IndexedSearches() != det.Searches() {
-			t.Fatalf("engine-driven SM answered %d/%d searches from the index, want all",
-				det.IndexedSearches(), det.Searches())
-		}
-	})
-}
-
-// TestEngineIndexedRunMatchesProbeRun is the engine-level differential:
-// the same workload run twice — once with the index (normal construction)
-// and once with the capability hidden (probe/pairwise reference) — must
-// produce identical matrices, search counts and detection cycle charges.
-func TestEngineIndexedRunMatchesProbeRun(t *testing.T) {
-	type build func() (comm.Detector, Config)
-	cases := map[string]build{
-		"HM": func() (comm.Detector, Config) {
-			d := comm.NewHMDetector(8, 50_000)
-			return d, Config{Machine: topology.Harpertown(), Detector: d}
-		},
-		"SM": func() (comm.Detector, Config) {
-			d := comm.NewSMDetector(8, 1)
-			return d, Config{Machine: topology.Harpertown(), TLBMode: tlb.SoftwareManaged, Detector: d}
-		},
+	cases := []struct {
+		name string
+		det  comm.Detector
+		mode tlb.Management
+	}{
+		{"HM", comm.NewHMDetector(8, 50_000), tlb.HardwareManaged},
+		{"SM", comm.NewSMDetector(8, 1), tlb.SoftwareManaged},
+		{"null", nil, tlb.HardwareManaged},
 	}
-	for name, mk := range cases {
-		t.Run(name, func(t *testing.T) {
-			asI, teamI := presenceWorkload()
-			detI, cfgI := mk()
-			resI, err := Run(cfgI, asI, teamI)
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			as, team := presenceWorkload()
+			probe := &viewProbe{}
+			cfg := Config{Machine: topology.Harpertown(), TLBMode: c.mode, Detector: c.det, Checker: probe}
+			res, err := Run(cfg, as, team)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			asP, teamP := presenceWorkload()
-			detP, cfgP := mk()
-			cfgP.Detector = hideIndex{detP}
-			resP, err := Run(cfgP, asP, teamP)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if detI.Searches() != detP.Searches() {
-				t.Fatalf("search counts diverge: indexed %d, probe %d", detI.Searches(), detP.Searches())
-			}
-			ci := resI.Counters.Get(metrics.DetectionCycles)
-			cp := resP.Counters.Get(metrics.DetectionCycles)
-			if ci != cp {
-				t.Fatalf("detection charges diverge: indexed %d, probe %d", ci, cp)
-			}
-			mi, mp := detI.Matrix(), detP.Matrix()
-			for i := 0; i < mi.N(); i++ {
-				for j := 0; j < mi.N(); j++ {
-					if mi.At(i, j) != mp.At(i, j) {
-						t.Fatalf("matrices diverge at (%d,%d): indexed %d, probe %d",
-							i, j, mi.At(i, j), mp.At(i, j))
-					}
+			if c.det == nil {
+				if probe.view.Index != nil || probe.view.ThreadOf != nil {
+					t.Fatal("null-detector run built a detector view")
 				}
+				return
+			}
+			if probe.view.Index == nil || probe.view.Index.Attached() != 8 {
+				t.Fatal("detector run's view does not cover all eight TLBs")
+			}
+			if res.Matrix.Total() == 0 {
+				t.Fatal("detector found no sharing through the view")
 			}
 		})
 	}

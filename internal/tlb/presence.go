@@ -2,7 +2,6 @@ package tlb
 
 import (
 	"fmt"
-	"math/bits"
 
 	"tlbmap/internal/vm"
 )
@@ -38,12 +37,12 @@ type PresenceIndex struct {
 	// pos[p] is 1 + page p's dense position, 0 while untracked. Like
 	// TLB.idx it is a flat slice grown lazily to the largest page seen —
 	// the vm bump allocator hands pages out densely from 1, so the slice
-	// stays proportional to the working set and the per-event lookups on
-	// the ingest path (HoldersEach, add, remove) skip the map hashing
-	// that used to dominate them. Removal swap-deletes, so iteration
-	// order is an implementation detail — every consumer of Walk/Holders
-	// accumulates commutatively (matrix sums), which keeps results
-	// byte-identical to the pairwise scan regardless of order.
+	// stays proportional to the working set and the per-event lookups
+	// (Holders, add, remove) skip the map hashing that used to dominate
+	// them. Removal swap-deletes, so iteration order is an implementation
+	// detail — every consumer of Walk/Holders accumulates commutatively
+	// (matrix sums), which keeps results byte-identical to the pairwise
+	// scan regardless of order.
 	pos   []int32
 	pages []vm.Page
 	masks []uint64
@@ -124,31 +123,6 @@ func (ix *PresenceIndex) at(p vm.Page) (int32, bool) {
 	}
 	i := ix.pos[p]
 	return i - 1, i != 0
-}
-
-// HoldersEach calls fn with the slot of every attached TLB currently
-// holding a translation for the page, in ascending slot order. It is the
-// serving-path form of Holders: no aliased mask escapes to the caller, so
-// fn may mutate the index (insert, invalidate) once it returns — the bits
-// are decoded into a local copy first.
-func (ix *PresenceIndex) HoldersEach(p vm.Page, fn func(slot int)) {
-	i, ok := ix.at(p)
-	if !ok {
-		return
-	}
-	var buf [4]uint64
-	mask := buf[:0]
-	if ix.words > len(buf) {
-		mask = make([]uint64, 0, ix.words)
-	}
-	base := int(i) * ix.words
-	mask = append(mask, ix.masks[base:base+ix.words]...)
-	for w, m := range mask {
-		for m != 0 {
-			fn(w<<6 + bits.TrailingZeros64(m))
-			m &= m - 1
-		}
-	}
 }
 
 // Walk visits every resident page's holder mask, batching consecutive

@@ -109,10 +109,8 @@ func TestTLBStateAttach(t *testing.T) {
 	pidx2 := NewPresenceIndex(2)
 	pidx2.Attach(restored)
 	for _, p := range orig.ResidentPages() {
-		var holders []int
-		pidx2.HoldersEach(p, func(slot int) { holders = append(holders, slot) })
-		if len(holders) != 1 || holders[0] != 0 {
-			t.Fatalf("page %#x: holders %v after attach, want [0]", uint64(p), holders)
+		if m := pidx2.Holders(p); len(m) != 1 || m[0] != 1 {
+			t.Fatalf("page %#x: holder mask %x after attach, want [1]", uint64(p), m)
 		}
 	}
 }

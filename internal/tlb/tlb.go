@@ -104,8 +104,8 @@ type TLB struct {
 	pow2  bool
 
 	// setLen[s] is the number of valid entries in set s, maintained by
-	// Insert/Invalidate/Flush. The HM scanner reads it to skip pairwise
-	// comparisons against empty sets without touching the entries.
+	// Insert/Invalidate/Flush, so Flush, Len and PagesInSet skip empty
+	// sets without touching the entries.
 	setLen []int16
 
 	// idx[p] is 1 + the flat index of page p's entry while resident, 0
@@ -164,8 +164,8 @@ func (t *TLB) SetOf(p vm.Page) int {
 }
 
 // SetLen returns the number of valid entries in one set. It is maintained
-// incrementally, so reading it costs one load — the HM scanner uses it to
-// elide pairwise set comparisons when either side is empty.
+// incrementally, so reading it costs one load — the pairwise reference
+// scan uses it to elide set comparisons when either side is empty.
 func (t *TLB) SetLen(set int) int { return int(t.setLen[set]) }
 
 // resident returns the flat index of page p's entry, or -1.
@@ -256,9 +256,9 @@ func (t *TLB) Peek(p vm.Page) (vm.Frame, bool) {
 }
 
 // Contains reports whether a page is resident without perturbing LRU state.
-// This is the probe the SM detector uses against remote TLB mirrors; it
-// inspects only the page's set, costing Ways comparisons (the Θ(P) search
-// of Table I once the associativity is fixed).
+// It is the remote-TLB probe of the literal Figure 1a search; the modelled
+// hardware inspects only the page's set, costing Ways comparisons (the
+// Θ(P) search of Table I once the associativity is fixed).
 func (t *TLB) Contains(p vm.Page) bool {
 	return t.resident(p) >= 0
 }
@@ -299,15 +299,7 @@ func (t *TLB) Flush() {
 	}
 }
 
-// PresenceIndex returns the index this TLB is attached to, or nil.
-func (t *TLB) PresenceIndex() *PresenceIndex { return t.pidx }
-
-// PresenceSlot returns this TLB's slot in its PresenceIndex; only
-// meaningful when PresenceIndex() is non-nil.
-func (t *TLB) PresenceSlot() int { return int(t.pslot) }
-
 // PagesInSet appends the valid pages of one set to dst and returns it.
-// The HM scanner walks sets pairwise with this accessor.
 func (t *TLB) PagesInSet(set int, dst []vm.Page) []vm.Page {
 	if t.setLen[set] == 0 {
 		return dst
@@ -361,8 +353,9 @@ func (t *TLB) MissRate() float64 {
 // cached translations.
 func (t *TLB) ResetStats() { t.hits, t.misses, t.evictions = 0, 0, 0 }
 
-// MatchesInSet counts pages resident in the same set of both TLBs. The two
-// TLBs must share a geometry; the caller (the HM scanner) guarantees this.
+// MatchesInSet counts pages resident in the same set of both TLBs: one set
+// comparison of the literal Figure 1b scan. The two TLBs must share a
+// geometry.
 func MatchesInSet(a, b *TLB, set int) int {
 	n := 0
 	for _, ea := range a.sets[set] {
