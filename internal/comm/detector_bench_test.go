@@ -81,8 +81,8 @@ func BenchmarkDetectors(b *testing.B) {
 // set-by-set scan. Compare the per-op times across core counts.
 
 // table1TLBs fills every TLB with the same Entries pages, so every set is
-// full: each probe finds the page and each set comparison is a full
-// Ways × Ways compare.
+// full: each probe finds the page and each set comparison matches all
+// Ways pages.
 func table1TLBs(cores int) []*tlb.TLB {
 	cfg := tlb.DefaultConfig
 	tlbs := make([]*tlb.TLB, cores)

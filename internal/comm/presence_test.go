@@ -14,30 +14,36 @@ import (
 // is the oracle SMSearch is held to.
 func probeSearch(m *Matrix, byThread []*tlb.TLB, thread int, page vm.Page) {
 	for other, t := range byThread {
-		if other != thread && t.Contains(page) {
+		if other == thread {
+			continue
+		}
+		if _, held := t.Peek(page); held {
 			m.Inc(thread, other)
 		}
 	}
 }
 
 // pairwiseScan is the literal Figure 1b scan: all pairs of TLBs, set by
-// set. It is the oracle HMDetector's index walk is held to. A pair
-// comparison against an empty set can never match, so it consults the
-// TLBs' occupancy counts and skips those MatchesInSet calls; the matrix
-// is unchanged.
+// set, counting the pages resident in the same set of both. It is the
+// oracle HMDetector's index walk is held to. The TLBs share a geometry,
+// so a page of TLB i's set s is in TLB j's set s exactly when TLB j holds
+// it.
 func pairwiseScan(m *Matrix, byThread []*tlb.TLB) {
 	sets := byThread[0].Config().Sets()
-	for i := 0; i < len(byThread); i++ {
-		ti := byThread[i]
+	var pages []vm.Page
+	for i := range byThread {
 		for j := i + 1; j < len(byThread); j++ {
-			tj := byThread[j]
+			n := 0
 			for s := 0; s < sets; s++ {
-				if ti.SetLen(s) == 0 || tj.SetLen(s) == 0 {
-					continue
+				pages = byThread[i].PagesInSet(s, pages[:0])
+				for _, p := range pages {
+					if _, held := byThread[j].Peek(p); held {
+						n++
+					}
 				}
-				if n := tlb.MatchesInSet(ti, tj, s); n > 0 {
-					m.Add(i, j, uint64(n))
-				}
+			}
+			if n > 0 {
+				m.Add(i, j, uint64(n))
 			}
 		}
 	}

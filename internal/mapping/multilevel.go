@@ -195,11 +195,15 @@ func refineLevel(order []int, lv *mlLevel, machine *topology.Machine, n int) {
 		adj[e.U] = append(adj[e.U], half{e.V, e.W})
 		adj[e.V] = append(adj[e.V], half{e.U, e.W})
 	}
-	lat := func(p, q int) int64 {
-		if p == q {
-			return 0
+	// lat[p*g+q] is the latency between slots p and q (0 on the
+	// diagonal), built once per level: the swap search below reads it once
+	// per adjacency term, and Latency is symmetric.
+	lat := make([]int64, g*g)
+	for p := 0; p < g; p++ {
+		for q := p + 1; q < g; q++ {
+			l := int64(machine.Latency(p*blockSize, q*blockSize))
+			lat[p*g+q], lat[q*g+p] = l, l
 		}
-		return int64(machine.Latency(p*blockSize, q*blockSize))
 	}
 	work := 0
 	// swapDelta is the exact cost change of exchanging the slots of groups
@@ -214,14 +218,14 @@ func refineLevel(order []int, lv *mlLevel, machine *topology.Machine, n int) {
 				continue
 			}
 			sz := slotOf[h.to]
-			d += h.w * (lat(sy, sz) - lat(sx, sz))
+			d += h.w * (lat[sy*g+sz] - lat[sx*g+sz])
 		}
 		for _, h := range adj[y] {
 			if h.to == x {
 				continue
 			}
 			sz := slotOf[h.to]
-			d += h.w * (lat(sx, sz) - lat(sy, sz))
+			d += h.w * (lat[sx*g+sz] - lat[sy*g+sz])
 		}
 		return d
 	}
@@ -230,8 +234,7 @@ func refineLevel(order []int, lv *mlLevel, machine *topology.Machine, n int) {
 	// improving swap. Returns whether it improved.
 	tryMove := func(anchor, mv int) bool {
 		sa, sm := slotOf[anchor], slotOf[mv]
-		cur := lat(sa, sm)
-		if cur == 0 {
+		if lat[sa*g+sm] == 0 {
 			return false
 		}
 		// Candidate slots: a window of mlRefineCandidates slots centered

@@ -115,9 +115,9 @@ type wayMeta struct {
 //
 // The authoritative structure is a line-indexed residency map: idx[l]
 // packs 1 + the global way index of line l with its MESI state, and holds
-// 0 while the line is absent. Physical frames are allocated densely from
-// zero (see internal/vm), so line numbers are dense and a flat slice works
-// as the map. Every lookup-shaped operation — Lookup, Probe, SetState, the
+// 0 while the line is absent. It is a paged lineTable, so a cache pays
+// for the line ranges it has touched, not for the highest line number it
+// has held. Every lookup-shaped operation — Lookup, Probe, SetState, the
 // resident-update path of Insert — resolves through idx in O(1), and
 // because the state rides in the same word, a Probe (the snoop path) costs
 // exactly one load. The way arrays remain authoritative for geometry:
@@ -141,8 +141,8 @@ type Cache struct {
 	setBlock []int32
 	meta     []wayMeta
 	// idx[l] = (1 + global way index) | state<<wayBits for resident line
-	// l, 0 when absent. Grows lazily with the largest line inserted.
-	idx   []int32
+	// l, 0 when absent.
+	idx   lineTable[int32]
 	clock uint64
 }
 
@@ -188,12 +188,7 @@ func (c *Cache) allocSet(s int) int {
 }
 
 // entry returns line l's packed residency entry, or 0 when absent.
-func (c *Cache) entry(l Line) int32 {
-	if uint64(l) < uint64(len(c.idx)) {
-		return c.idx[l]
-	}
-	return 0
-}
+func (c *Cache) entry(l Line) int32 { return c.idx.get(uint64(l)) }
 
 // Lookup returns the MESI state of a line, refreshing its LRU position on a
 // hit. Invalid means a miss.
@@ -233,16 +228,17 @@ func (c *Cache) Probe(l Line) MESIState {
 // downgrade M→S or an invalidation →I). It reports whether the line was
 // resident.
 func (c *Cache) SetState(l Line, s MESIState) bool {
-	e := c.entry(l)
-	if e == 0 {
+	p := c.idx.at(uint64(l))
+	if p == nil || *p == 0 {
 		return false
 	}
+	e := *p
 	if s == Invalid {
 		c.meta[e&wayMask-1].tag = invalidTag
-		c.idx[l] = 0
+		*p = 0
 		return true
 	}
-	c.idx[l] = e&wayMask | int32(s)<<wayBits
+	*p = e&wayMask | int32(s)<<wayBits
 	return true
 }
 
@@ -250,20 +246,13 @@ func (c *Cache) SetState(l Line, s MESIState) bool {
 // global way index ix (from lookupWay). It skips the residency resolution
 // SetState would run; transitioning to Invalid retires the way.
 func (c *Cache) setStateAt(ix int, l Line, s MESIState) {
+	p := c.idx.at(uint64(l)) // non-nil: l is resident
 	if s == Invalid {
 		c.meta[ix].tag = invalidTag
-		c.idx[l] = 0
+		*p = 0
 		return
 	}
-	c.idx[l] = int32(ix+1) | int32(s)<<wayBits
-}
-
-// indexLine records line l as resident at global way index ix with state s.
-func (c *Cache) indexLine(l Line, ix int, s MESIState) {
-	for uint64(len(c.idx)) <= uint64(l) {
-		c.idx = append(c.idx, 0)
-	}
-	c.idx[l] = int32(ix+1) | int32(s)<<wayBits
+	*p = int32(ix+1) | int32(s)<<wayBits
 }
 
 // Eviction describes a line displaced by Insert.
@@ -278,10 +267,10 @@ type Eviction struct {
 // that is already resident just updates its state and LRU position.
 func (c *Cache) Insert(l Line, s MESIState) Eviction {
 	c.clock++
-	if e := c.entry(l); e != 0 {
-		ix := e & wayMask
+	if p := c.idx.at(uint64(l)); p != nil && *p != 0 {
+		ix := *p & wayMask
 		c.meta[ix-1].lru = c.clock
-		c.idx[l] = ix | int32(s)<<wayBits
+		*p = ix | int32(s)<<wayBits
 		return Eviction{}
 	}
 	return c.fill(l, s)
@@ -321,12 +310,13 @@ func (c *Cache) fill(l Line, s MESIState) Eviction {
 	}
 	var ev Eviction
 	if !free {
-		old := Line(c.meta[victim].tag)
-		ev = Eviction{Line: old, State: MESIState(c.idx[old] >> wayBits), Happened: true}
-		c.idx[old] = 0
+		old := c.meta[victim].tag
+		p := c.idx.at(old) // non-nil: old is resident
+		ev = Eviction{Line: Line(old), State: MESIState(*p >> wayBits), Happened: true}
+		*p = 0
 	}
 	c.meta[victim] = wayMeta{tag: uint64(l), lru: c.clock}
-	c.indexLine(l, victim, s)
+	*c.idx.slot(uint64(l)) = int32(victim+1) | int32(s)<<wayBits
 	return ev
 }
 
@@ -342,7 +332,7 @@ func (c *Cache) Each(f func(Line, MESIState)) {
 		off := int(b-1) * c.ways
 		for i := 0; i < c.ways; i++ {
 			if t := c.meta[off+i].tag; t != invalidTag {
-				f(Line(t), MESIState(c.idx[t]>>wayBits))
+				f(Line(t), MESIState(c.idx.get(t)>>wayBits))
 			}
 		}
 	}
@@ -362,9 +352,9 @@ func (c *Cache) Len() int {
 // Flush invalidates every line without write-backs (test helper).
 func (c *Cache) Flush() {
 	for i := range c.meta {
-		c.meta[i].tag = invalidTag
-	}
-	for i := range c.idx {
-		c.idx[i] = 0
+		if t := c.meta[i].tag; t != invalidTag {
+			*c.idx.at(t) = 0
+			c.meta[i].tag = invalidTag
+		}
 	}
 }

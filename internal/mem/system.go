@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"fmt"
 	"math/bits"
 
 	"tlbmap/internal/metrics"
@@ -64,12 +63,12 @@ type System struct {
 	// l2dir[line] is the mask of L2 domains holding the line (machines
 	// with ≤64 domains; l2dirOK). l1dir[line] is the mask of cores whose
 	// L1 holds the line (≤64 cores; l1dirOK). Beyond those sizes the
-	// original probe-everyone loops are used. Both slices grow lazily with
-	// the touched line range; lines past the end hold nothing.
+	// original probe-everyone loops are used. Both are paged tables, so a
+	// line never written holds nothing.
 	l2dirOK bool
 	l1dirOK bool
-	l2dir   []uint64
-	l1dir   []uint64
+	l2dir   lineTable[uint64]
+	l1dir   lineTable[uint64]
 	// sibMask[c] is the mask of core c's same-domain siblings (excluding
 	// c itself); domainL1Mask[d] is the mask of all cores in domain d.
 	// Only built when l1dirOK.
@@ -95,12 +94,9 @@ type System struct {
 	obs Observer
 
 	// frameNode records which NUMA node each physical frame's memory
-	// lives on (NUMA extension). Frames are allocated densely from zero
-	// by the vm frame allocator, so a flat slice indexed by frame number
-	// replaces the former map on the per-fill path; frames beyond the
-	// slice default to node 0. Only consulted on machines with NUMA
-	// nodes.
-	frameNode []int32
+	// lives on (NUMA extension), indexed by frame number; an unplaced
+	// frame reads node 0. Only consulted on machines with NUMA nodes.
+	frameNode lineTable[int32]
 	numa      bool
 
 	l1cfg, l2cfg CacheConfig
@@ -180,44 +176,24 @@ func (s *System) repLatency(core, d int) (uint64, bool) {
 }
 
 // l2Holders returns the directory mask of L2 domains holding line l.
-func (s *System) l2Holders(l Line) uint64 {
-	if uint64(l) < uint64(len(s.l2dir)) {
-		return s.l2dir[l]
-	}
-	return 0
-}
+func (s *System) l2Holders(l Line) uint64 { return s.l2dir.get(uint64(l)) }
 
 // l1Holders returns the directory mask of cores whose L1 holds line l.
-func (s *System) l1Holders(l Line) uint64 {
-	if uint64(l) < uint64(len(s.l1dir)) {
-		return s.l1dir[l]
-	}
-	return 0
-}
+func (s *System) l1Holders(l Line) uint64 { return s.l1dir.get(uint64(l)) }
 
-func (s *System) l2dirSet(l Line, d int) {
-	for uint64(len(s.l2dir)) <= uint64(l) {
-		s.l2dir = append(s.l2dir, 0)
-	}
-	s.l2dir[l] |= 1 << uint(d)
-}
+func (s *System) l2dirSet(l Line, d int) { *s.l2dir.slot(uint64(l)) |= 1 << uint(d) }
 
 func (s *System) l2dirClear(l Line, d int) {
-	if uint64(l) < uint64(len(s.l2dir)) {
-		s.l2dir[l] &^= 1 << uint(d)
+	if p := s.l2dir.at(uint64(l)); p != nil {
+		*p &^= 1 << uint(d)
 	}
 }
 
-func (s *System) l1dirSet(l Line, core int) {
-	for uint64(len(s.l1dir)) <= uint64(l) {
-		s.l1dir = append(s.l1dir, 0)
-	}
-	s.l1dir[l] |= 1 << uint(core)
-}
+func (s *System) l1dirSet(l Line, core int) { *s.l1dir.slot(uint64(l)) |= 1 << uint(core) }
 
 func (s *System) l1dirClear(l Line, core int) {
-	if uint64(l) < uint64(len(s.l1dir)) {
-		s.l1dir[l] &^= 1 << uint(core)
+	if p := s.l1dir.at(uint64(l)); p != nil {
+		*p &^= 1 << uint(core)
 	}
 }
 
@@ -228,19 +204,7 @@ func (s *System) PlaceFrame(frame uint64, node int) {
 	if !s.numa {
 		return
 	}
-	for uint64(len(s.frameNode)) <= frame {
-		s.frameNode = append(s.frameNode, 0)
-	}
-	s.frameNode[frame] = int32(node)
-}
-
-// nodeOf returns the NUMA node a frame's memory lives on (node 0 while
-// unplaced, matching the former map's zero value).
-func (s *System) nodeOf(frame uint64) int {
-	if frame < uint64(len(s.frameNode)) {
-		return int(s.frameNode[frame])
-	}
-	return 0
+	*s.frameNode.slot(frame) = int32(node)
 }
 
 // NUMA reports whether the machine has NUMA nodes.
@@ -254,7 +218,7 @@ func (s *System) memFill(ctr *metrics.Counters, core int, l Line, now uint64) ui
 	lat += MemLatency
 	if s.numa {
 		frame := uint64(l) >> 6 // LineShift == 6, PageShift == 12
-		if s.nodeOf(frame) == s.machine.NUMANode(core) {
+		if int(s.frameNode.get(frame)) == s.machine.NUMANode(core) {
 			ctr.Inc(metrics.LocalMemAccesses)
 		} else {
 			ctr.Inc(metrics.RemoteMemAccesses)
@@ -634,54 +598,4 @@ func (s *System) invalidateDomain(ctr *metrics.Counters, d2 int, l Line) {
 		}
 	}
 	s.l2dirClear(l, d2)
-}
-
-func fmtDirErr(which string, l Line, got, want uint64) error {
-	return fmt.Errorf("mem: %s[%d] = %#x, want %#x", which, l, got, want)
-}
-
-// validateDirectories cross-checks the sharing directories against the
-// actual cache contents (test helper; O(cache size)).
-func (s *System) validateDirectories() error {
-	if s.l2dirOK {
-		want := map[Line]uint64{}
-		for d, l2 := range s.l2s {
-			l2.Each(func(l Line, st MESIState) {
-				if st != Invalid {
-					want[l] |= 1 << uint(d)
-				}
-			})
-		}
-		for l, m := range want {
-			if s.l2Holders(l) != m {
-				return fmtDirErr("l2dir", l, s.l2Holders(l), m)
-			}
-		}
-		for li, m := range s.l2dir {
-			if m != 0 && want[Line(li)] != m {
-				return fmtDirErr("l2dir", Line(li), m, want[Line(li)])
-			}
-		}
-	}
-	if s.l1dirOK {
-		want := map[Line]uint64{}
-		for c, l1 := range s.l1s {
-			l1.Each(func(l Line, st MESIState) {
-				if st != Invalid {
-					want[l] |= 1 << uint(c)
-				}
-			})
-		}
-		for l, m := range want {
-			if s.l1Holders(l) != m {
-				return fmtDirErr("l1dir", l, s.l1Holders(l), m)
-			}
-		}
-		for li, m := range s.l1dir {
-			if m != 0 && want[Line(li)] != m {
-				return fmtDirErr("l1dir", Line(li), m, want[Line(li)])
-			}
-		}
-	}
-	return nil
 }

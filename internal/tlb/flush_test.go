@@ -78,8 +78,8 @@ func TestFlushedTLBKeepsWorking(t *testing.T) {
 }
 
 func TestFlushClearsScanAndSearchSurfaces(t *testing.T) {
-	// The detectors inspect TLBs through Contains/PagesInSet/MatchesInSet;
-	// a flushed TLB must look empty through every one of those windows.
+	// TLBs are inspected through Peek and PagesInSet; a flushed TLB must
+	// look empty through both windows, set by set.
 	a := New(Config{Entries: 8, Ways: 2})
 	b := New(Config{Entries: 8, Ways: 2})
 	for p := vm.Page(0); p < 8; p++ {
@@ -88,16 +88,20 @@ func TestFlushClearsScanAndSearchSurfaces(t *testing.T) {
 	}
 	a.Flush()
 	for p := vm.Page(0); p < 8; p++ {
-		if a.Contains(p) {
-			t.Fatalf("Contains(%d) true after flush", p)
+		if _, ok := a.Peek(p); ok {
+			t.Fatalf("Peek(%d) hit after flush", p)
 		}
 	}
 	if got := a.ResidentPages(); len(got) != 0 {
 		t.Errorf("ResidentPages returned %v after flush", got)
 	}
+	// b, filled the same way and never flushed, is the control.
 	for s := 0; s < a.Config().Sets(); s++ {
-		if n := MatchesInSet(a, b, s); n != 0 {
-			t.Errorf("set %d still matches %d pages after flush", s, n)
+		if got := a.PagesInSet(s, nil); len(got) != 0 {
+			t.Errorf("set %d still holds %v after flush", s, got)
+		}
+		if got := b.PagesInSet(s, nil); len(got) != 2 {
+			t.Errorf("unflushed set %d holds %v, want 2 pages", s, got)
 		}
 	}
 }

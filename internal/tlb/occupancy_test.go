@@ -41,8 +41,11 @@ func TestSetLenTracksOccupancy(t *testing.T) {
 			total := 0
 			for s := 0; s < cfg.Sets(); s++ {
 				want := countSet(tl, s)
-				if got := tl.SetLen(s); got != want {
-					t.Fatalf("cfg %+v op %d: SetLen(%d) = %d, recount = %d", cfg, op, s, got, want)
+				if got := int(tl.setLen[s]); got != want {
+					t.Fatalf("cfg %+v op %d: setLen[%d] = %d, recount = %d", cfg, op, s, got, want)
+				}
+				if got := len(tl.PagesInSet(s, nil)); got != want {
+					t.Fatalf("cfg %+v op %d: PagesInSet(%d) has %d pages, recount = %d", cfg, op, s, got, want)
 				}
 				total += want
 			}

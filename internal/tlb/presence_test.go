@@ -13,7 +13,7 @@ import (
 // invalidations, flushes and cross-core shootdowns, the incrementally
 // maintained index must equal a from-scratch recomputation over the TLB
 // contents (Validate), and every page's holder mask must agree bit by bit
-// with Contains on every TLB. Core counts above 64 exercise the
+// with Peek on every TLB. Core counts above 64 exercise the
 // multi-word mask paths.
 func TestPresenceIndexProperty(t *testing.T) {
 	for _, cores := range []int{1, 4, 8, 70} {
@@ -61,7 +61,7 @@ func TestPresenceIndexProperty(t *testing.T) {
 			for p := vm.Page(0); p < pages; p++ {
 				mask := ix.Holders(p)
 				for slot, tl := range tlbs {
-					want := tl.Contains(p)
+					_, want := tl.Peek(p)
 					got := mask != nil && mask[slot>>6]&(1<<(uint(slot)&63)) != 0
 					if got != want {
 						t.Fatalf("page %#x slot %d: index says held=%v, TLB says %v",

@@ -88,7 +88,7 @@ type entry struct {
 type TLB struct {
 	cfg Config
 	// flat holds all entries contiguously, ways per set; sets are windows
-	// into it. The hot paths (Lookup, Insert, Contains) index flat
+	// into it. The hot paths (Lookup, Insert, Peek) index flat
 	// directly — one offset multiply instead of loading a slice header
 	// per access.
 	flat  []entry
@@ -112,7 +112,7 @@ type TLB struct {
 	// otherwise. Virtual pages are handed out densely from page 1 by the
 	// vm bump allocator, so a flat slice (grown lazily with the largest
 	// page inserted) serves as the residency map, and every lookup-shaped
-	// path — Lookup, Peek, Contains, Invalidate, the same-page refresh of
+	// path — Lookup, Peek, Invalidate, the same-page refresh of
 	// Insert — resolves in O(1) instead of scanning the set. Only victim
 	// selection on Insert still reads the set.
 	idx []int32
@@ -162,11 +162,6 @@ func (t *TLB) SetOf(p vm.Page) int {
 	}
 	return int(uint64(p) % t.nsets)
 }
-
-// SetLen returns the number of valid entries in one set. It is maintained
-// incrementally, so reading it costs one load — the pairwise reference
-// scan uses it to elide set comparisons when either side is empty.
-func (t *TLB) SetLen(set int) int { return int(t.setLen[set]) }
 
 // resident returns the flat index of page p's entry, or -1.
 func (t *TLB) resident(p vm.Page) int {
@@ -253,14 +248,6 @@ func (t *TLB) Peek(p vm.Page) (vm.Frame, bool) {
 		return t.flat[ix].frame, true
 	}
 	return 0, false
-}
-
-// Contains reports whether a page is resident without perturbing LRU state.
-// It is the remote-TLB probe of the literal Figure 1a search; the modelled
-// hardware inspects only the page's set, costing Ways comparisons (the
-// Θ(P) search of Table I once the associativity is fixed).
-func (t *TLB) Contains(p vm.Page) bool {
-	return t.resident(p) >= 0
 }
 
 // Invalidate drops the entry for a page if present (the OS invalidation on
@@ -352,22 +339,3 @@ func (t *TLB) MissRate() float64 {
 // ResetStats zeroes the hit/miss/eviction counters without touching the
 // cached translations.
 func (t *TLB) ResetStats() { t.hits, t.misses, t.evictions = 0, 0, 0 }
-
-// MatchesInSet counts pages resident in the same set of both TLBs: one set
-// comparison of the literal Figure 1b scan. The two TLBs must share a
-// geometry.
-func MatchesInSet(a, b *TLB, set int) int {
-	n := 0
-	for _, ea := range a.sets[set] {
-		if !ea.valid {
-			continue
-		}
-		for _, eb := range b.sets[set] {
-			if eb.valid && eb.page == ea.page {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}

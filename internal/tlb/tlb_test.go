@@ -9,6 +9,12 @@ import (
 
 func tr(p vm.Page) vm.Translation { return vm.Translation{Page: p, Frame: vm.Frame(p) + 1000} }
 
+// holds reports whether page p is resident in tl, through Peek.
+func holds(tl *TLB, p vm.Page) bool {
+	_, ok := tl.Peek(p)
+	return ok
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig.Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
@@ -80,7 +86,7 @@ func TestLRUEvictionWithinSet(t *testing.T) {
 	if !was || evicted != 4 {
 		t.Errorf("evicted %v (%v), want page 4", evicted, was)
 	}
-	if !tl.Contains(0) || tl.Contains(4) || !tl.Contains(8) {
+	if !holds(tl, 0) || holds(tl, 4) || !holds(tl, 8) {
 		t.Error("post-eviction residency wrong")
 	}
 	if tl.Evictions() != 1 {
@@ -104,20 +110,23 @@ func TestInsertExistingUpdatesWithoutEviction(t *testing.T) {
 	}
 }
 
-func TestContainsDoesNotPerturbLRU(t *testing.T) {
+func TestPeekDoesNotPerturbLRU(t *testing.T) {
 	tl := New(Config{Entries: 4, Ways: 2}) // 2 sets
 	// Pages 0 and 2 map to set 0.
 	tl.Insert(tr(0))
 	tl.Insert(tr(2))
 	// Probe page 0 many times; it must stay the LRU victim.
 	for i := 0; i < 10; i++ {
-		if !tl.Contains(0) {
-			t.Fatal("Contains lost page 0")
+		if f, ok := tl.Peek(0); !ok || f != tr(0).Frame {
+			t.Fatal("Peek lost page 0")
 		}
 	}
 	evicted, _ := tl.Insert(tr(4))
 	if evicted != 0 {
-		t.Errorf("evicted %d; Contains perturbed LRU", evicted)
+		t.Errorf("evicted %d; Peek perturbed LRU", evicted)
+	}
+	if tl.Hits() != 0 || tl.Misses() != 0 {
+		t.Errorf("Peek moved the statistics: %d hits, %d misses", tl.Hits(), tl.Misses())
 	}
 }
 
@@ -131,7 +140,7 @@ func TestInvalidateAndFlush(t *testing.T) {
 	if tl.Invalidate(1) {
 		t.Error("Invalidate hit non-resident page")
 	}
-	if tl.Contains(1) || !tl.Contains(2) {
+	if holds(tl, 1) || !holds(tl, 2) {
 		t.Error("invalidate state wrong")
 	}
 	tl.Flush()
@@ -159,26 +168,6 @@ func TestResidentPagesAndPagesInSet(t *testing.T) {
 	}
 }
 
-func TestMatchesInSet(t *testing.T) {
-	cfg := Config{Entries: 8, Ways: 2}
-	a, b := New(cfg), New(cfg)
-	a.Insert(tr(0))
-	a.Insert(tr(4)) // set 0
-	a.Insert(tr(1)) // set 1
-	b.Insert(tr(4)) // set 0
-	b.Insert(tr(1)) // set 1
-	b.Insert(tr(5)) // set 1
-	if got := MatchesInSet(a, b, 0); got != 1 {
-		t.Errorf("set 0 matches = %d, want 1", got)
-	}
-	if got := MatchesInSet(a, b, 1); got != 1 {
-		t.Errorf("set 1 matches = %d, want 1", got)
-	}
-	if got := MatchesInSet(a, b, 2); got != 0 {
-		t.Errorf("set 2 matches = %d, want 0", got)
-	}
-}
-
 func TestResetStatsKeepsContents(t *testing.T) {
 	tl := New(DefaultConfig)
 	tl.Insert(tr(9))
@@ -187,7 +176,7 @@ func TestResetStatsKeepsContents(t *testing.T) {
 	if tl.Hits() != 0 || tl.Misses() != 0 {
 		t.Error("stats not reset")
 	}
-	if !tl.Contains(9) {
+	if !holds(tl, 9) {
 		t.Error("contents lost on stats reset")
 	}
 	if tl.MissRate() != 0 {
@@ -237,7 +226,7 @@ func TestInsertThenContains(t *testing.T) {
 			tl.Insert(tr(vm.Page(p)))
 		}
 		tl.Insert(tr(vm.Page(probe)))
-		return tl.Contains(vm.Page(probe))
+		return holds(tl, vm.Page(probe))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -22,7 +22,8 @@
 # and then runs every gated case on both sides in alternation, PAIRS
 # pairs, with the same flags (a side's result in a pair is the best of a
 # few runs for the short cases). The gated cases are BenchmarkEngine,
-# BenchmarkMultilevel, BenchmarkMatrixAdd, the serve-plane micros
+# BenchmarkMultilevel, BenchmarkMatrixAdd, BenchmarkCacheAccess (the
+# L1/L2 probe layer: L1 hit, L2 hit, miss), the serve-plane micros
 # (BenchmarkIngestParse, BenchmarkRecovery), BenchmarkParallelSuite/workers2
 # (harness.RunPerformance at class S) and the mapperd selftest's event and
 # query rates. A case's ratio in one pair is current/parent events/sec, or
@@ -130,6 +131,9 @@ internal/mapping:mapping.test:BenchmarkMultilevel/threads256:1x:1
 internal/mapping:mapping.test:BenchmarkMultilevel/threads1024:1x:1
 internal/comm:comm.test:BenchmarkMatrixAdd/n128:100000000x:3
 internal/comm:comm.test:BenchmarkMatrixAdd/n1024:100000000x:3
+internal/mem:mem.test:BenchmarkCacheAccess/L1hit:5000000x:3
+internal/mem:mem.test:BenchmarkCacheAccess/L2hit:5000000x:3
+internal/mem:mem.test:BenchmarkCacheAccess/miss:5000000x:3
 internal/serve:serve.test:BenchmarkIngestParse:500x:2
 internal/serve:serve.test:BenchmarkRecovery/workers1:50x:2
 internal/serve:serve.test:BenchmarkRecovery/workers4:50x:2
@@ -154,7 +158,7 @@ gated_case() {
 # build_side TREE BIN builds the gated binaries of one tree into BIN.
 build_side() {
 	mkdir -p "$2"
-	for _p in sim mapping comm serve; do
+	for _p in sim mapping comm serve mem; do
 		(cd "$1" && go test -c -o "$2/$_p.test" "./internal/$_p")
 	done
 	(cd "$1" && go test -c -o "$2/tlbmap.test" . && go build -o "$2/mapperd" ./cmd/mapperd)
