@@ -9,6 +9,11 @@ go vet ./...
 # Formatting gate: gofmt -l prints every file whose layout differs.
 test -z "$(gofmt -l .)"
 go build ./...
+# Every function declared in a non-test file is linked into some program
+# (each built with inlining off, so none hides inside a caller) or is
+# allowlisted with a reason in scripts/unlinked/allowlist.txt. A function
+# that only its own package's tests call belongs in a _test.go file.
+go run ./scripts/unlinked
 # -timeout turns a wedged test (deadlocked worker, unbounded retry) into
 # a failure instead of a hung CI run.
 go test -timeout 10m -shuffle=on ./...

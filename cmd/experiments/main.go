@@ -248,6 +248,12 @@ func writeCSV(dir, name string, write func(w *os.File) error) error {
 	return write(f)
 }
 
+func writeTable3CSV(dir string, rows []harness.Table3Row) error {
+	return writeCSV(dir, "table3.csv", func(f *os.File) error {
+		return harness.WriteTable3CSV(f, rows)
+	})
+}
+
 func run(cfg harness.Config, exp string, csvDir string) error {
 	needPatterns := exp == "all" || exp == "fig4" || exp == "fig5"
 	needPerf := exp == "all" || exp == "table4" || exp == "table5" ||
@@ -267,7 +273,7 @@ func run(cfg harness.Config, exp string, csvDir string) error {
 			return err
 		}
 		fmt.Print(harness.RenderTable3(rows))
-		return nil
+		return writeTable3CSV(csvDir, rows)
 	case "hm-overhead":
 		rows, err := harness.RunHMOverhead(cfg)
 		if err != nil {
@@ -354,6 +360,9 @@ func run(cfg harness.Config, exp string, csvDir string) error {
 			return err
 		}
 		emit("Table III", harness.RenderTable3(rows3))
+		if err := writeTable3CSV(csvDir, rows3); err != nil {
+			return err
+		}
 		rowsHM, err := harness.RunHMOverhead(cfg)
 		if err != nil {
 			return err

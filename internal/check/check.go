@@ -152,11 +152,3 @@ func (s *Suite) Finish(res *sim.Result) error {
 	s.conserve.finish(res)
 	return s.Err()
 }
-
-// CheckNow runs every on-demand sweep immediately (tests and debugging; the
-// engine itself sweeps on access sampling and at Finish).
-func (s *Suite) CheckNow() error {
-	s.tlbc.sweep()
-	s.mesi.checkAll()
-	return s.Err()
-}

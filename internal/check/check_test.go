@@ -357,3 +357,16 @@ func TestDifferentialRejectsUnknownMechanism(t *testing.T) {
 		t.Fatal("unknown mechanism accepted")
 	}
 }
+
+// CheckNow runs every on-demand sweep immediately (tests and debugging; the
+// engine itself sweeps on access sampling and at Finish).
+func (s *Suite) CheckNow() error {
+	s.tlbc.sweep()
+	s.mesi.checkAll()
+	return s.Err()
+}
+
+// Patterns returns every built-in pattern, in a stable order.
+func Patterns() []Pattern {
+	return []Pattern{HotSharing, FalseSharing, MigrationChurn, PrivateStreams, Mixed}
+}

@@ -39,11 +39,6 @@ const (
 	Mixed Pattern = "mixed"
 )
 
-// Patterns returns every built-in pattern, in a stable order.
-func Patterns() []Pattern {
-	return []Pattern{HotSharing, FalseSharing, MigrationChurn, PrivateStreams, Mixed}
-}
-
 // DiffConfig parameterizes one differential run. The seed is the only
 // source of randomness: equal configs produce bit-identical runs.
 type DiffConfig struct {

@@ -40,7 +40,7 @@ type Detector interface {
 // NeverScans is an optional capability marker: a detector implementing it
 // declares that MaybeScan always returns 0 and has no side effects, so the
 // engine may elide the per-event MaybeScan dispatch entirely. Wrappers
-// that forward to unknown children (Multi, Epoch, the fault layer) must
+// that forward to unknown children (Multi, the fault layer) must
 // NOT implement it — the engine assumes the conservative hook set for any
 // detector without the marker.
 type NeverScans interface {
@@ -402,9 +402,6 @@ func (d *OracleDetector) OnAccess(thread int, addr vm.Addr) {
 	}
 	*h = h.push(t)
 }
-
-// Granularity returns the detector's sharing granularity.
-func (d *OracleDetector) Granularity() Granularity { return d.granularity }
 
 // OnTLBMiss implements Detector (the oracle does not use the TLB).
 func (d *OracleDetector) OnTLBMiss(int, vm.Page, TLBView) uint64 { return 0 }

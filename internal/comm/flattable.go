@@ -73,24 +73,6 @@ func (t *blockTable) slot(key uint64) *accessorHistory {
 	}
 }
 
-// lookup returns the history for key, or nil if absent (tests and stats).
-func (t *blockTable) lookup(key uint64) *accessorHistory {
-	i := blockHash(key) & t.mask
-	for {
-		k := t.keys[i]
-		if k == key {
-			return &t.vals[i]
-		}
-		if k == blockTableEmpty {
-			return nil
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// len returns the number of live entries.
-func (t *blockTable) size() int { return t.n }
-
 // grow doubles the capacity and reinserts every live entry.
 func (t *blockTable) grow() {
 	oldKeys, oldVals := t.keys, t.vals

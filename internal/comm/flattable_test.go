@@ -109,3 +109,21 @@ func TestOracleDetectorFlatTableEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// lookup returns the history for key, or nil if absent (tests and stats).
+func (t *blockTable) lookup(key uint64) *accessorHistory {
+	i := blockHash(key) & t.mask
+	for {
+		k := t.keys[i]
+		if k == key {
+			return &t.vals[i]
+		}
+		if k == blockTableEmpty {
+			return nil
+		}
+		i = (i + 1) & t.mask
+	}
+}
+
+// len returns the number of live entries.
+func (t *blockTable) size() int { return t.n }

@@ -67,26 +67,32 @@ func TestSMSearchAfterShootdownFindsNothing(t *testing.T) {
 	}
 }
 
-// Entries vanishing mid-epoch must never make an epoch delta go negative:
-// a window in which the detector saw nothing yields an all-zero epoch, and
-// the whole-run matrix stays the sum of the epochs.
-func TestEpochDetectorEntriesVanishMidEpoch(t *testing.T) {
+// Entries vanishing mid-epoch must never make an epoch delta go negative.
+// Epochs are cut the way dynamic migration cuts them, Matrix.Sub of the
+// detector's matrix against the previous cut: a window in which the
+// detector saw nothing yields an all-zero epoch, and the whole-run matrix
+// stays the sum of the epochs.
+func TestEpochDeltasEntriesVanishMidEpoch(t *testing.T) {
 	v, tl := view(2)
 	insert(tl, 0, 3)
 	insert(tl, 1, 3)
-	inner := NewHMDetector(2, 50)
-	d := NewEpochDetector(inner, 100)
-	d.MaybeScan(0, v)   // arm both clocks
+	d := NewHMDetector(2, 50)
+	var prev *Matrix
+	var epochs []*Matrix
+	cut := func() {
+		cur := d.Matrix()
+		epochs = append(epochs, cur.Sub(prev))
+		prev = cur.Clone()
+	}
+	d.MaybeScan(0, v)   // arm the scan clock
 	d.MaybeScan(60, v)  // scan 1: sees the sharing
 	flushAll(tl)        // entries vanish mid-epoch
-	d.MaybeScan(120, v) // scan 2 sees nothing; epoch 1 cut here
-	d.MaybeScan(240, v) // scan 3: still nothing; epoch 2 cut
-	d.Flush()
+	d.MaybeScan(120, v) // scan 2 sees nothing
+	cut()               // epoch 1
+	d.MaybeScan(240, v) // scan 3: still nothing
+	cut()               // epoch 2
+	cut()               // epoch 3: the empty tail
 
-	epochs := d.Epochs()
-	if len(epochs) != 3 {
-		t.Fatalf("epochs = %d, want 3", len(epochs))
-	}
 	if epochs[0].At(0, 1) != 1 {
 		t.Errorf("epoch 1 lost the pre-flush detection:\n%s", epochs[0])
 	}

@@ -188,9 +188,6 @@ func (m *Matrix) Sub(base *Matrix) *Matrix {
 	return out
 }
 
-// Reset zeroes every cell.
-func (m *Matrix) Reset() { clear(m.cells) }
-
 // Flatten returns the upper triangle (i < j) as float64s in row order,
 // the vector form used for similarity scoring.
 func (m *Matrix) Flatten() []float64 {
@@ -295,15 +292,4 @@ func (m *Matrix) NeighborFraction() float64 {
 		nb += m.At(i, i+1)
 	}
 	return float64(nb) / float64(total)
-}
-
-// Heterogeneity returns the relative standard deviation of the upper
-// triangle: 0 for a perfectly homogeneous pattern (CG/EP/FT-like), large
-// for sharply structured patterns. Used to classify detected patterns.
-func (m *Matrix) Heterogeneity() float64 {
-	var s stats.Sample
-	for _, v := range m.Flatten() {
-		s.Add(v)
-	}
-	return s.RelStdDev() / 100
 }

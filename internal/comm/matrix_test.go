@@ -144,23 +144,6 @@ func TestNeighborFraction(t *testing.T) {
 	}
 }
 
-func TestHeterogeneity(t *testing.T) {
-	hom := NewMatrix(4)
-	for i := 0; i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			hom.Add(i, j, 5)
-		}
-	}
-	het := NewMatrix(4)
-	het.Add(0, 1, 100)
-	if hom.Heterogeneity() != 0 {
-		t.Errorf("uniform matrix heterogeneity = %v", hom.Heterogeneity())
-	}
-	if het.Heterogeneity() <= hom.Heterogeneity() {
-		t.Error("structured matrix should be more heterogeneous")
-	}
-}
-
 // TestMatrixProperties: symmetry and total consistency under random
 // updates.
 func TestMatrixProperties(t *testing.T) {
@@ -193,3 +176,6 @@ func TestMatrixProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Reset zeroes every cell.
+func (m *Matrix) Reset() { clear(m.cells) }

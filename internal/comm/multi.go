@@ -53,6 +53,3 @@ func (m *MultiDetector) Matrix() *Matrix {
 	}
 	return m.children[0].Matrix()
 }
-
-// Children returns the wrapped detectors.
-func (m *MultiDetector) Children() []Detector { return m.children }

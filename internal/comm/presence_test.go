@@ -131,18 +131,16 @@ func randomView(cores int) (TLBView, []*tlb.TLB) {
 	return NewTLBView(tlbs), tlbs
 }
 
-// mutate applies one random TLB operation.
+// mutate applies one random TLB operation: a flush, or an insert that
+// may evict.
 func mutate(rng *rand.Rand, tlbs []*tlb.TLB, pages int) {
 	c := rng.Intn(len(tlbs))
 	p := vm.Page(rng.Intn(pages))
-	switch rng.Intn(10) {
-	case 0:
+	if rng.Intn(10) == 0 {
 		tlbs[c].Flush()
-	case 1:
-		tlbs[c].Invalidate(p)
-	default:
-		tlbs[c].Insert(vm.Translation{Page: p, Frame: vm.Frame(p)})
+		return
 	}
+	tlbs[c].Insert(vm.Translation{Page: p, Frame: vm.Frame(p)})
 }
 
 // migrate swaps the threads of two random slots, as a migration rewrites
@@ -263,8 +261,8 @@ func TestHMScanEmptyViewChargesNothing(t *testing.T) {
 }
 
 // TestWrappersForwardPresenceIndex proves the view survives composition:
-// hooks called through Multi- and Epoch- wrappers must reach the inner
-// detectors with the view that lets them read the TLBs.
+// hooks called through the Multi wrapper must reach the inner detectors
+// with the view that lets them read the TLBs.
 func TestWrappersForwardPresenceIndex(t *testing.T) {
 	const cores = 4
 	v, tlbs := randomView(cores)
@@ -273,7 +271,7 @@ func TestWrappersForwardPresenceIndex(t *testing.T) {
 	}
 	hm := NewHMDetector(cores, 1)
 	sm := NewSMDetector(cores, 1)
-	var det Detector = NewEpochDetector(NewMultiDetector(hm, sm), 1000)
+	var det Detector = NewMultiDetector(hm, sm)
 	det.MaybeScan(0, v)
 	det.MaybeScan(2, v)
 	det.OnTLBMiss(0, 3, v)

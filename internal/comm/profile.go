@@ -27,9 +27,6 @@ func NewPageProfile(n int) *PageProfile {
 	}
 }
 
-// Threads returns the number of threads profiled.
-func (p *PageProfile) Threads() int { return p.threads }
-
 // Record counts one access to page by thread.
 func (p *PageProfile) Record(thread int, page vm.Page) {
 	c, ok := p.counts[page]
@@ -63,22 +60,6 @@ func (p *PageProfile) FirstToucher(page vm.Page) int {
 		return t
 	}
 	return -1
-}
-
-// DominantThread returns the thread with the most accesses to a page, or
-// -1 for an untouched page. Ties break toward the lower thread ID.
-func (p *PageProfile) DominantThread(page vm.Page) int {
-	c, ok := p.counts[page]
-	if !ok {
-		return -1
-	}
-	best := 0
-	for t := 1; t < len(c); t++ {
-		if c[t] > c[best] {
-			best = t
-		}
-	}
-	return best
 }
 
 // DominantNode aggregates a page's accesses per NUMA node (via threadNode,

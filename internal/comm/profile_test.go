@@ -8,9 +8,6 @@ import (
 
 func TestPageProfileBasics(t *testing.T) {
 	p := NewPageProfile(4)
-	if p.Threads() != 4 {
-		t.Fatal("threads")
-	}
 	p.Record(2, 10)
 	p.Record(1, 10)
 	p.Record(1, 10)
@@ -21,12 +18,6 @@ func TestPageProfileBasics(t *testing.T) {
 	}
 	if got := p.FirstToucher(99); got != -1 {
 		t.Errorf("untouched first toucher = %d", got)
-	}
-	if got := p.DominantThread(10); got != 1 {
-		t.Errorf("dominant = %d, want 1", got)
-	}
-	if got := p.DominantThread(99); got != -1 {
-		t.Errorf("untouched dominant = %d", got)
 	}
 	pages := p.Pages()
 	if len(pages) != 2 || pages[0] != 10 || pages[1] != 20 {
@@ -91,9 +82,9 @@ func TestProfileDetector(t *testing.T) {
 	if d.Name() != "page-profile" {
 		t.Error("name")
 	}
-	d.OnAccess(0, vm.Page(3).Base()+8)
-	d.OnAccess(1, vm.Page(3).Base())
-	if d.Profile().DominantThread(3) == -1 {
+	d.OnAccess(0, vm.Addr(3<<vm.PageShift)+8)
+	d.OnAccess(1, vm.Addr(3<<vm.PageShift))
+	if c := d.Profile().Counts(3); c[0] != 1 || c[1] != 1 {
 		t.Error("accesses not recorded")
 	}
 	if d.Matrix().At(0, 1) != 1 {

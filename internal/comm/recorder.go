@@ -3,7 +3,6 @@ package comm
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 
 	"tlbmap/internal/vm"
@@ -81,35 +80,3 @@ func (r *TraceRecorder) Records() uint64 { return r.records }
 // BytesWritten returns the encoded trace size so far (before any final
 // buffer flush padding; exact after Flush).
 func (r *TraceRecorder) BytesWritten() uint64 { return r.bytes }
-
-// ReplayTrace reads a trace produced by TraceRecorder and feeds every
-// access to the given detector's OnAccess — the offline analysis pass of
-// the trace-based approaches. It returns the number of records replayed.
-func ReplayTrace(rd io.Reader, n int, det Detector) (uint64, error) {
-	br := bufio.NewReader(rd)
-	lastPage := make([]int64, n)
-	var count uint64
-	for {
-		threadByte, err := br.ReadByte()
-		if err == io.EOF {
-			return count, nil
-		}
-		if err != nil {
-			return count, fmt.Errorf("comm: replay: %w", err)
-		}
-		thread := int(threadByte)
-		if thread >= n {
-			return count, fmt.Errorf("comm: replay: thread %d out of range", thread)
-		}
-		delta, err := binary.ReadVarint(br)
-		if err != nil {
-			return count, fmt.Errorf("comm: replay: truncated record %d: %w", count, err)
-		}
-		lastPage[thread] += delta
-		if lastPage[thread] < 0 {
-			return count, fmt.Errorf("comm: replay: negative page at record %d", count)
-		}
-		det.OnAccess(thread, vm.Page(lastPage[thread]).Base())
-		count++
-	}
-}

@@ -1,7 +1,11 @@
 package comm
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"testing"
 
 	"tlbmap/internal/vm"
@@ -20,7 +24,7 @@ func TestTraceRecorderRoundTrip(t *testing.T) {
 		{0, 10}, {1, 10}, {2, 30}, {0, 11}, {1, 10}, {3, 10}, {2, 31}, {0, 10},
 	}
 	for _, a := range accesses {
-		addr := a.page.Base() + 8
+		addr := vm.Addr(a.page)<<vm.PageShift + 8
 		rec.OnAccess(a.thread, addr)
 		direct.OnAccess(a.thread, addr)
 	}
@@ -56,7 +60,7 @@ func TestTraceRecorderCompactEncoding(t *testing.T) {
 	rec := NewTraceRecorder(1, &buf)
 	// Sequential pages: deltas of 1 must encode in 2 bytes per record.
 	for p := vm.Page(100); p < 200; p++ {
-		rec.OnAccess(0, p.Base())
+		rec.OnAccess(0, vm.Addr(p)<<vm.PageShift)
 	}
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
@@ -91,7 +95,7 @@ func TestReplayTraceRejectsGarbage(t *testing.T) {
 	// Negative page via a big negative delta.
 	var buf bytes.Buffer
 	rec := NewTraceRecorder(1, &buf)
-	rec.OnAccess(0, vm.Page(5).Base())
+	rec.OnAccess(0, vm.Addr(5<<vm.PageShift))
 	rec.Flush()
 	data := buf.Bytes()
 	// Append a record jumping far below zero: thread 0, delta -1000.
@@ -124,4 +128,36 @@ func putVarintHelper(buf []byte, v int64) int {
 	}
 	buf[i] = byte(uv)
 	return i + 1
+}
+
+// ReplayTrace reads a trace produced by TraceRecorder and feeds every
+// access to the given detector's OnAccess — the offline analysis pass of
+// the trace-based approaches. It returns the number of records replayed.
+func ReplayTrace(rd io.Reader, n int, det Detector) (uint64, error) {
+	br := bufio.NewReader(rd)
+	lastPage := make([]int64, n)
+	var count uint64
+	for {
+		threadByte, err := br.ReadByte()
+		if err == io.EOF {
+			return count, nil
+		}
+		if err != nil {
+			return count, fmt.Errorf("comm: replay: %w", err)
+		}
+		thread := int(threadByte)
+		if thread >= n {
+			return count, fmt.Errorf("comm: replay: thread %d out of range", thread)
+		}
+		delta, err := binary.ReadVarint(br)
+		if err != nil {
+			return count, fmt.Errorf("comm: replay: truncated record %d: %w", count, err)
+		}
+		lastPage[thread] += delta
+		if lastPage[thread] < 0 {
+			return count, fmt.Errorf("comm: replay: negative page at record %d", count)
+		}
+		det.OnAccess(thread, vm.Addr(lastPage[thread])<<vm.PageShift)
+		count++
+	}
 }

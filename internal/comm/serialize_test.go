@@ -2,7 +2,11 @@ package comm
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -80,4 +84,77 @@ func TestReadCSVRejectsMalformed(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
+}
+
+// UnmarshalJSON decodes a matrix previously produced by MarshalJSON,
+// validating shape and symmetry.
+func (m *Matrix) UnmarshalJSON(data []byte) error {
+	var in matrixJSON
+	if err := json.Unmarshal(data, &in); err != nil {
+		return err
+	}
+	if in.N <= 0 || len(in.Cells) != in.N {
+		return fmt.Errorf("comm: malformed matrix: n=%d with %d rows", in.N, len(in.Cells))
+	}
+	fresh := NewMatrix(in.N)
+	for i, row := range in.Cells {
+		if len(row) != in.N {
+			return fmt.Errorf("comm: row %d has %d cells, want %d", i, len(row), in.N)
+		}
+		for j, v := range row {
+			if in.Cells[j][i] != v {
+				return fmt.Errorf("comm: asymmetric cells (%d,%d)", i, j)
+			}
+			if i != j && v != 0 {
+				fresh.Set(i, j, v)
+			}
+			if i == j && v != 0 {
+				return fmt.Errorf("comm: non-zero diagonal at %d", i)
+			}
+		}
+	}
+	*m = *fresh
+	return nil
+}
+
+// ReadCSV parses a matrix written by WriteCSV, validating shape, symmetry
+// and an all-zero diagonal.
+func ReadCSV(r io.Reader) (*Matrix, error) {
+	records, err := csv.NewReader(r).ReadAll()
+	if err != nil {
+		return nil, fmt.Errorf("comm: reading csv: %w", err)
+	}
+	n := len(records)
+	if n == 0 {
+		return nil, fmt.Errorf("comm: empty csv")
+	}
+	// Parse into a scratch grid first: Matrix.Set mirrors both halves, so
+	// symmetry must be validated against the raw input, not the matrix.
+	vals := make([][]uint64, n)
+	for i, row := range records {
+		if len(row) != n {
+			return nil, fmt.Errorf("comm: row %d has %d fields, want %d", i, len(row), n)
+		}
+		vals[i] = make([]uint64, n)
+		for j, field := range row {
+			v, err := strconv.ParseUint(field, 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("comm: cell (%d,%d): %w", i, j, err)
+			}
+			if i == j && v != 0 {
+				return nil, fmt.Errorf("comm: non-zero diagonal at %d", i)
+			}
+			vals[i][j] = v
+		}
+	}
+	m := NewMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if vals[i][j] != vals[j][i] {
+				return nil, fmt.Errorf("comm: asymmetric cells (%d,%d)", i, j)
+			}
+			m.Set(i, j, vals[i][j])
+		}
+	}
+	return m, nil
 }

@@ -90,8 +90,6 @@ type Options struct {
 	// for EvaluateWithDynamicMigration (0 selects the engine default of
 	// 500k cycles).
 	MigrationInterval uint64
-	// Quantum overrides the trace batch size (0 = trace.DefaultQuantum).
-	Quantum int
 	// Check arms the internal/check invariant suite for the run: the
 	// sequential memory oracle, the MESI legality checker, the TLB/page
 	// table consistency checker and the counter-conservation checker. A
@@ -181,7 +179,7 @@ func Detect(w Workload, m Mechanism, opt Options) (*Detection, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, fstats, err := runPrograms(programs, as, opt, nil, det, tlbModeFor(m))
+	res, fstats, err := runPrograms(programs, as, opt, simRun{detector: det, mode: tlbModeFor(m)})
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +206,7 @@ func DetectAll(w Workload, opt Options) (sm, hm, oracle *Detection, err error) {
 	// Faults armed here perturb the shared trap/timing path (shootdowns,
 	// lost samples, preemption); the matrix-publication faults only apply
 	// to published views, and DetectAll reads the children directly.
-	res, fstats, err := runPrograms(programs, as, opt, nil, multi, tlb.SoftwareManaged)
+	res, fstats, err := runPrograms(programs, as, opt, simRun{detector: multi, mode: tlb.SoftwareManaged})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -235,7 +233,7 @@ func Evaluate(w Workload, placement []int, opt Options) (*sim.Result, error) {
 	opt = opt.withDefaults()
 	as := vm.NewAddressSpace()
 	programs := w(as)
-	res, _, err := runPrograms(programs, as, opt, placement, comm.NullDetector{}, tlb.HardwareManaged)
+	res, _, err := runPrograms(programs, as, opt, simRun{placement: placement, detector: comm.NullDetector{}, mode: tlb.HardwareManaged})
 	return res, err
 }
 
@@ -338,7 +336,7 @@ func EvaluateWithDetection(w Workload, placement []int, m Mechanism, opt Options
 	if err != nil {
 		return nil, err
 	}
-	res, fstats, err := runPrograms(programs, as, opt, placement, det, tlbModeFor(m))
+	res, fstats, err := runPrograms(programs, as, opt, simRun{placement: placement, detector: det, mode: tlbModeFor(m)})
 	if err != nil {
 		return nil, err
 	}
@@ -349,32 +347,54 @@ func EvaluateWithDetection(w Workload, placement []int, m Mechanism, opt Options
 	return d, nil
 }
 
-// buildTeam spawns the thread team with the configured batch quantum.
-func buildTeam(programs []trace.Program, opt Options) *trace.Team {
-	return trace.NewTeam(programs, opt.Quantum)
+// newSuite returns the invariant suite a checked run arms (Options.Check).
+// It is a variable so that tests can watch the suite a run begins.
+var newSuite = func() sim.Checker { return check.NewSuite() }
+
+// simRun is what distinguishes one of the pipeline's simulations;
+// runPrograms takes the rest of the run's sim.Config from Options.
+type simRun struct {
+	placement []int
+	detector  comm.Detector
+	mode      tlb.Management
+	// pageNode is the data placement of a NUMA run (sim.Config.PageNode).
+	pageNode func(vm.Page) int
+	// migrator, when non-nil, builds the run's sim.Config.Migrator from
+	// the detector as the fault layer publishes it.
+	migrator func(published comm.Detector) func(now uint64, placement []int) []int
 }
 
-func runPrograms(programs []trace.Program, as *vm.AddressSpace, opt Options,
-	placement []int, det comm.Detector, mode tlb.Management) (*sim.Result, fault.Stats, error) {
-	team := buildTeam(programs, opt)
+// runPrograms is the one place the pipeline configures a simulation: every
+// run gets the machine, geometries, jitter and interrupt of opt, the
+// invariant suite when opt.Check is set, and the fault layer of opt.Faults
+// around r.detector.
+func runPrograms(programs []trace.Program, as *vm.AddressSpace, opt Options, r simRun) (*sim.Result, fault.Stats, error) {
 	var checker sim.Checker
 	if opt.Check {
-		checker = check.NewSuite()
+		checker = newSuite()
 	}
 	inj := fault.New(opt.Faults, opt.Machine.NumCores())
+	det := inj.WrapDetector(r.detector)
+	var migrator func(now uint64, placement []int) []int
+	if r.migrator != nil {
+		migrator = r.migrator(det)
+	}
 	res, err := sim.Run(sim.Config{
-		Checker:    checker,
-		Machine:    opt.Machine,
-		L1:         opt.L1,
-		L2:         opt.L2,
-		TLB:        opt.TLB,
-		TLB2:       opt.TLB2,
-		TLBMode:    mode,
-		Placement:  placement,
-		Detector:   inj.WrapDetector(det),
-		Perturber:  inj.Perturber(),
-		Interrupt:  opt.Interrupt,
-		JitterSeed: opt.JitterSeed,
-	}, as, team)
+		Checker:           checker,
+		Machine:           opt.Machine,
+		L1:                opt.L1,
+		L2:                opt.L2,
+		TLB:               opt.TLB,
+		TLB2:              opt.TLB2,
+		TLBMode:           r.mode,
+		Placement:         r.placement,
+		Detector:          det,
+		PageNode:          r.pageNode,
+		Perturber:         inj.Perturber(),
+		Interrupt:         opt.Interrupt,
+		JitterSeed:        opt.JitterSeed,
+		Migrator:          migrator,
+		MigrationInterval: opt.MigrationInterval,
+	}, as, trace.NewTeam(programs, 0))
 	return res, inj.Stats(), err
 }

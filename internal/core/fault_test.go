@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"tlbmap/internal/check"
 	"tlbmap/internal/fault"
 	"tlbmap/internal/sim"
+	"tlbmap/internal/topology"
 )
 
 func planWith(seed int64, kinds ...fault.Kind) fault.Plan {
@@ -139,5 +141,51 @@ func TestDynamicMigrationConfidenceGateUnderDecay(t *testing.T) {
 	}
 	if ungated.Fallbacks != 0 {
 		t.Errorf("fallbacks with the gate disabled: %d", ungated.Fallbacks)
+	}
+}
+
+// EvaluateNUMA takes Interrupt from Options like every other run.
+func TestInterruptCancelsEvaluateNUMA(t *testing.T) {
+	ch := make(chan struct{})
+	close(ch)
+	_, err := EvaluateNUMA(nodeLocalWorkload, nil, nil, Options{Machine: topology.NUMA(2), Interrupt: ch})
+	if !errors.Is(err, sim.ErrInterrupted) {
+		t.Fatalf("err = %v, want sim.ErrInterrupted", err)
+	}
+}
+
+// countingSuite is the invariant suite with a count of the hooks the
+// engine called.
+type countingSuite struct {
+	*check.Suite
+	begins, migrations int
+}
+
+func (s *countingSuite) Begin(env sim.CheckEnv) {
+	s.begins++
+	s.Suite.Begin(env)
+}
+
+func (s *countingSuite) OnMigration(now uint64, placement []int) error {
+	s.migrations++
+	return s.Suite.OnMigration(now, placement)
+}
+
+// Options.Check arms the suite on a dynamically migrated run too, and the
+// suite checks every migration the controller makes.
+func TestCheckedDynamicMigrationArmsSuite(t *testing.T) {
+	suite := &countingSuite{Suite: check.NewSuite()}
+	defer func(orig func() sim.Checker) { newSuite = orig }(newSuite)
+	newSuite = func() sim.Checker { return suite }
+	report, err := EvaluateWithDynamicMigration(twoPhaseWorkload, Oracle,
+		Options{MigrationInterval: 200_000, Check: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if suite.begins != 1 {
+		t.Fatalf("checked run began the suite %d times, want 1", suite.begins)
+	}
+	if report.Remaps == 0 || suite.migrations != report.Remaps {
+		t.Errorf("suite checked %d migrations, controller remapped %d times", suite.migrations, report.Remaps)
 	}
 }

@@ -47,12 +47,6 @@ func EvaluateWithDynamicMigration(w Workload, mech Mechanism, opt Options) (*Mig
 	if err != nil {
 		return nil, err
 	}
-	// The online controller reads the wrapped detector's published view, so
-	// matrix-publication faults (dropped scans, bit decay) reach the
-	// controller exactly as they would reach a real migration daemon.
-	inj := fault.New(opt.Faults, opt.Machine.NumCores())
-	wrapped := inj.WrapDetector(det)
-
 	report := &MigrationReport{}
 	online := mapping.NewOnlineMapper(opt.Machine, 0.6)
 	identity := make([]int, opt.Machine.NumCores())
@@ -66,47 +60,42 @@ func EvaluateWithDynamicMigration(w Workload, mech Mechanism, opt Options) (*Mig
 	case opt.MinConfidence > 0:
 		online.MinConfidence = opt.MinConfidence
 	}
-	var prev *comm.Matrix
-	migrator := func(now uint64, placement []int) []int {
-		cur := wrapped.Matrix()
-		if cur == nil {
-			return nil
+	// The online controller reads the fault layer's published view, so
+	// matrix-publication faults (dropped scans, bit decay) reach the
+	// controller exactly as they would reach a real migration daemon.
+	migrator := func(published comm.Detector) func(now uint64, placement []int) []int {
+		var prev *comm.Matrix
+		return func(now uint64, placement []int) []int {
+			cur := published.Matrix()
+			if cur == nil {
+				return nil
+			}
+			epoch := cur.Sub(prev)
+			prev = cur.Clone()
+			dec, err := online.Observe(epoch)
+			if err != nil {
+				return nil
+			}
+			report.Decisions = append(report.Decisions, dec)
+			if !dec.Remap {
+				return nil
+			}
+			report.Remaps++
+			return dec.Placement
 		}
-		epoch := cur.Sub(prev)
-		prev = cur.Clone()
-		dec, err := online.Observe(epoch)
-		if err != nil {
-			return nil
-		}
-		report.Decisions = append(report.Decisions, dec)
-		if !dec.Remap {
-			return nil
-		}
-		report.Remaps++
-		return dec.Placement
 	}
 
-	team := buildTeam(programs, opt)
-	res, err := sim.Run(sim.Config{
-		Machine:           opt.Machine,
-		L1:                opt.L1,
-		L2:                opt.L2,
-		TLB:               opt.TLB,
-		TLB2:              opt.TLB2,
-		TLBMode:           tlbModeFor(mech),
-		Detector:          wrapped,
-		Perturber:         inj.Perturber(),
-		Interrupt:         opt.Interrupt,
-		JitterSeed:        opt.JitterSeed,
-		Migrator:          migrator,
-		MigrationInterval: opt.MigrationInterval,
-	}, as, team)
+	res, fstats, err := runPrograms(programs, as, opt, simRun{
+		detector: det,
+		mode:     tlbModeFor(mech),
+		migrator: migrator,
+	})
 	if err != nil {
 		return nil, err
 	}
 	report.Result = res
 	report.Fallbacks = online.Fallbacks()
 	report.FinalConfidence = online.Confidence()
-	report.FaultStats = inj.Stats()
+	report.FaultStats = fstats
 	return report, nil
 }

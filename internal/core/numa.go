@@ -8,7 +8,6 @@ import (
 	"tlbmap/internal/datamap"
 	"tlbmap/internal/sim"
 	"tlbmap/internal/tlb"
-	"tlbmap/internal/trace"
 	"tlbmap/internal/vm"
 )
 
@@ -22,7 +21,7 @@ func MeasureTraceSize(w Workload, opt Options) (records, bytes uint64, err error
 	as := vm.NewAddressSpace()
 	programs := w(as)
 	rec := comm.NewTraceRecorder(len(programs), io.Discard)
-	if _, _, err = runPrograms(programs, as, opt, nil, rec, tlb.HardwareManaged); err != nil {
+	if _, _, err = runPrograms(programs, as, opt, simRun{detector: rec, mode: tlb.HardwareManaged}); err != nil {
 		return 0, 0, err
 	}
 	if err = rec.Flush(); err != nil {
@@ -47,7 +46,7 @@ func ProfileData(w Workload, opt Options) (*DataProfile, error) {
 	as := vm.NewAddressSpace()
 	programs := w(as)
 	det := comm.NewProfileDetector(len(programs))
-	res, _, err := runPrograms(programs, as, opt, nil, det, tlb.HardwareManaged)
+	res, _, err := runPrograms(programs, as, opt, simRun{detector: det, mode: tlb.HardwareManaged})
 	if err != nil {
 		return nil, err
 	}
@@ -69,16 +68,11 @@ func EvaluateNUMA(w Workload, placement []int, assignment *datamap.Assignment, o
 	if assignment != nil {
 		pageNode = assignment.Node
 	}
-	return sim.Run(sim.Config{
-		Machine:    opt.Machine,
-		L1:         opt.L1,
-		L2:         opt.L2,
-		TLB:        opt.TLB,
-		TLB2:       opt.TLB2,
-		TLBMode:    tlb.HardwareManaged,
-		Placement:  placement,
-		Detector:   comm.NullDetector{},
-		JitterSeed: opt.JitterSeed,
-		PageNode:   pageNode,
-	}, as, trace.NewTeam(programs, opt.Quantum))
+	res, _, err := runPrograms(programs, as, opt, simRun{
+		placement: placement,
+		detector:  comm.NullDetector{},
+		mode:      tlb.HardwareManaged,
+		pageNode:  pageNode,
+	})
+	return res, err
 }

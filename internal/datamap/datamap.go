@@ -99,8 +99,7 @@ func ThreadNodeFunc(machine *topology.Machine, placement []int) func(int) int {
 
 // Assignment is a finished page -> node mapping ready for the simulator.
 type Assignment struct {
-	policy string
-	pages  map[vm.Page]int
+	pages map[vm.Page]int
 	// defaultNode receives pages that were never profiled.
 	defaultNode int
 }
@@ -111,10 +110,7 @@ func Build(p Policy, profile *comm.PageProfile, machine *topology.Machine, place
 		return nil, fmt.Errorf("datamap: nil profile")
 	}
 	nodes := numNodes(machine)
-	return &Assignment{
-		policy: p.Name(),
-		pages:  p.Assign(profile, ThreadNodeFunc(machine, placement), nodes),
-	}, nil
+	return &Assignment{pages: p.Assign(profile, ThreadNodeFunc(machine, placement), nodes)}, nil
 }
 
 func numNodes(machine *topology.Machine) int {
@@ -130,9 +126,6 @@ func numNodes(machine *topology.Machine) int {
 	return max + 1
 }
 
-// Policy returns the name of the policy that produced the assignment.
-func (a *Assignment) Policy() string { return a.policy }
-
 // Node returns the node assigned to a page; unprofiled pages land on the
 // default node.
 func (a *Assignment) Node(page vm.Page) int {
@@ -141,9 +134,6 @@ func (a *Assignment) Node(page vm.Page) int {
 	}
 	return a.defaultNode
 }
-
-// Len returns the number of explicitly assigned pages.
-func (a *Assignment) Len() int { return len(a.pages) }
 
 // RemoteFraction predicts the fraction of profiled accesses that would be
 // remote under this assignment — a quick analytic quality score before any

@@ -60,11 +60,8 @@ func TestFirstTouchPolicy(t *testing.T) {
 	if a.Node(2) != 1 {
 		t.Errorf("page 2 -> node %d, want 1", a.Node(2))
 	}
-	if a.Policy() != "first-touch" {
-		t.Error("policy name")
-	}
-	if a.Len() != 3 {
-		t.Errorf("Len = %d", a.Len())
+	if len(a.pages) != 3 {
+		t.Errorf("%d pages assigned, want 3", len(a.pages))
 	}
 	// Unprofiled pages land on the default node.
 	if a.Node(999) != 0 {
@@ -134,11 +131,11 @@ func TestRemoteFraction(t *testing.T) {
 		t.Errorf("most-accessed remote fraction = %v, want 0", f)
 	}
 	// Force everything onto node 0: half the accesses become remote.
-	everything := &Assignment{policy: "node0", pages: map[vm.Page]int{1: 0, 2: 0}}
+	everything := &Assignment{pages: map[vm.Page]int{1: 0, 2: 0}}
 	if f := everything.RemoteFraction(profile, tn); f != 0.5 {
 		t.Errorf("remote fraction = %v, want 0.5", f)
 	}
-	empty := &Assignment{policy: "x", pages: map[vm.Page]int{}}
+	empty := &Assignment{pages: map[vm.Page]int{}}
 	if f := empty.RemoteFraction(comm.NewPageProfile(8), tn); f != 0 {
 		t.Error("empty profile fraction")
 	}

@@ -110,9 +110,6 @@ func New(plan Plan, n int) *Injection {
 	return inj
 }
 
-// Plan returns the armed plan.
-func (inj *Injection) Plan() Plan { return inj.plan }
-
 // Stats returns the injection counts so far.
 func (inj *Injection) Stats() Stats { return inj.stats }
 

@@ -141,25 +141,6 @@ func groupMatrix(m *comm.Matrix, groups [][]int) [][]int64 {
 	return w
 }
 
-// Identity places thread i on core i — what a pinned run without any
-// communication awareness does.
-type Identity struct{}
-
-// Name implements Algorithm.
-func (Identity) Name() string { return "identity" }
-
-// Map implements Algorithm.
-func (Identity) Map(m *comm.Matrix, machine *topology.Machine) ([]int, error) {
-	if m.N() != machine.NumCores() {
-		return nil, fmt.Errorf("mapping: %d threads for %d cores", m.N(), machine.NumCores())
-	}
-	p := make([]int, m.N())
-	for i := range p {
-		p[i] = i
-	}
-	return p, nil
-}
-
 // OSScheduler models the operating system scheduler baseline of the
 // evaluation (the "OS" bars of Figures 6-9): a placement chosen without any
 // knowledge of communication. Each call produces a fresh random permutation,
@@ -173,9 +154,6 @@ type OSScheduler struct {
 func NewOSScheduler(seed int64) *OSScheduler {
 	return &OSScheduler{rng: rand.New(rand.NewSource(seed))}
 }
-
-// Name implements Algorithm.
-func (o *OSScheduler) Name() string { return "os" }
 
 // Map implements Algorithm.
 func (o *OSScheduler) Map(m *comm.Matrix, machine *topology.Machine) ([]int, error) {

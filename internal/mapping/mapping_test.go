@@ -72,7 +72,7 @@ func TestEdmondsOnDistantPairs(t *testing.T) {
 			t.Errorf("pair (%d,%d) split: cores %d and %d", i, i+4, p[i], p[i+4])
 		}
 	}
-	if got := Cost(m, machine, p); got != 4*100*machine.LevelLatency(topology.LevelL2) {
+	if got := Cost(m, machine, p); got != 4*100*machine.Latency(0, 1) {
 		t.Errorf("cost = %d", got)
 	}
 }

@@ -40,7 +40,7 @@ func qualityMachines() []*topology.Machine {
 const multilevelQualityFactor = 2
 
 func multilevelQualityOK(m *comm.Matrix, machine *topology.Machine, mlCost, blCost uint64) bool {
-	slack := m.Total() * machine.LevelLatency(topology.LevelL2)
+	slack := m.Total() * machine.Latency(0, 1) // cores 0 and 1 share an L2
 	return mlCost <= multilevelQualityFactor*blCost+slack
 }
 
@@ -132,7 +132,7 @@ func TestMultilevelImprovesOnIdentity(t *testing.T) {
 	}
 	// Every heavy pair can share an L2: the optimal cost is reachable and
 	// the mapper should land close to it.
-	optimal := m.Total() * machine.LevelLatency(topology.LevelL2)
+	optimal := m.Total() * machine.Latency(0, 1) // the L2 latency
 	if mlCost > 4*optimal {
 		t.Fatalf("multilevel cost %d is far from the achievable %d", mlCost, optimal)
 	}

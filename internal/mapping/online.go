@@ -51,8 +51,10 @@ type OnlineDecision struct {
 }
 
 // OnlineMapper is the dynamic-migration controller of the paper's future
-// work (Section VII): it consumes per-epoch communication matrices (from a
-// comm.EpochDetector-instrumented run), detects phase changes, and issues
+// work (Section VII): it consumes per-epoch communication matrices (the
+// Matrix.Sub delta of a live detector's matrix at each sim.Config.Migrator
+// poll, as core.EvaluateWithDynamicMigration cuts them), detects phase
+// changes, and issues
 // remaps only when the predicted communication-cost saving exceeds the
 // migration cost — the hysteresis that keeps a naive remapper from
 // thrashing.

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestExhaustiveFindsKnownOptimum(t *testing.T) {
 	}
 	checkPermutation(t, p, 8)
 	// Every pair on a shared L2 is the provable optimum.
-	want := 4 * 100 * machine.LevelLatency(topology.LevelL2)
+	want := 4 * 100 * machine.Latency(0, 1)
 	if got := Cost(m, machine, p); got != want {
 		t.Errorf("optimal cost = %d, want %d", got, want)
 	}
@@ -83,4 +84,79 @@ func TestOptimalityGapZeroMatrix(t *testing.T) {
 	if err != nil || gap != 1 {
 		t.Errorf("gap = %v, %v; want 1, nil", gap, err)
 	}
+}
+
+// MaxExhaustiveThreads bounds the exhaustive optimal mapper (N! candidate
+// placements).
+const MaxExhaustiveThreads = 10
+
+// Exhaustive finds a provably cost-optimal placement by enumerating every
+// permutation. The mapping problem is NP-hard in general (Section V-A), so
+// this is only feasible for small machines; it exists to measure how close
+// the polynomial hierarchical mapper gets (the paper's Edmonds approach is
+// a heuristic above the pair level).
+type Exhaustive struct{}
+
+// Name implements Algorithm.
+func (Exhaustive) Name() string { return "exhaustive-optimal" }
+
+// Map implements Algorithm.
+func (Exhaustive) Map(m *comm.Matrix, machine *topology.Machine) ([]int, error) {
+	n := m.N()
+	if n != machine.NumCores() {
+		return nil, fmt.Errorf("mapping: %d threads for %d cores", n, machine.NumCores())
+	}
+	if n > MaxExhaustiveThreads {
+		return nil, fmt.Errorf("mapping: exhaustive search limited to %d threads, got %d",
+			MaxExhaustiveThreads, n)
+	}
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	best := append([]int(nil), perm...)
+	bestCost := Cost(m, machine, perm)
+
+	// Heap's algorithm over all permutations.
+	c := make([]int, n)
+	for i := 0; i < n; {
+		if c[i] < i {
+			if i%2 == 0 {
+				perm[0], perm[i] = perm[i], perm[0]
+			} else {
+				perm[c[i]], perm[i] = perm[i], perm[c[i]]
+			}
+			if cost := Cost(m, machine, perm); cost < bestCost {
+				bestCost = cost
+				copy(best, perm)
+			}
+			c[i]++
+			i = 0
+		} else {
+			c[i] = 0
+			i++
+		}
+	}
+	return best, nil
+}
+
+// OptimalityGap returns the ratio cost(placement)/cost(optimal) for a
+// placement, using the exhaustive mapper as the reference. A gap of 1 means
+// the placement is provably optimal. Returns an error for machines beyond
+// the exhaustive limit or when the optimal cost is zero with a non-zero
+// candidate cost.
+func OptimalityGap(m *comm.Matrix, machine *topology.Machine, placement []int) (float64, error) {
+	opt, err := (Exhaustive{}).Map(m, machine)
+	if err != nil {
+		return 0, err
+	}
+	optCost := Cost(m, machine, opt)
+	cost := Cost(m, machine, placement)
+	if optCost == 0 {
+		if cost == 0 {
+			return 1, nil
+		}
+		return 0, fmt.Errorf("mapping: optimal cost 0 but placement cost %d", cost)
+	}
+	return float64(cost) / float64(optCost), nil
 }

@@ -99,3 +99,16 @@ func TestPhaseTrackerReferenceIsCopy(t *testing.T) {
 		t.Error("reference before first observation should be nil")
 	}
 }
+
+// Phases returns how many distinct phases have been observed (including the
+// initial one).
+func (p *PhaseTracker) Phases() int { return p.phases }
+
+// Reference returns a copy of the pattern the current mapping is based on,
+// or nil before the first observation.
+func (p *PhaseTracker) Reference() *comm.Matrix {
+	if p.reference == nil {
+		return nil
+	}
+	return p.reference.Clone()
+}

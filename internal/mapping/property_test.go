@@ -275,3 +275,26 @@ func TestOnlineMapperMaintainsPermutation(t *testing.T) {
 		})
 	}
 }
+
+// Identity places thread i on core i — what a pinned run without any
+// communication awareness does.
+type Identity struct{}
+
+// Name implements Algorithm.
+func (Identity) Name() string { return "identity" }
+
+// Map implements Algorithm.
+func (Identity) Map(m *comm.Matrix, machine *topology.Machine) ([]int, error) {
+	if m.N() != machine.NumCores() {
+		return nil, fmt.Errorf("mapping: %d threads for %d cores", m.N(), machine.NumCores())
+	}
+	p := make([]int, m.N())
+	for i := range p {
+		p[i] = i
+	}
+	return p, nil
+}
+
+// Name implements Algorithm, so that the property tests run the OS
+// baseline beside the mappers.
+func (o *OSScheduler) Name() string { return "os" }

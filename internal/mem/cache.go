@@ -117,15 +117,14 @@ type wayMeta struct {
 // packs 1 + the global way index of line l with its MESI state, and holds
 // 0 while the line is absent. It is a paged lineTable, so a cache pays
 // for the line ranges it has touched, not for the highest line number it
-// has held. Every lookup-shaped operation — Lookup, Probe, SetState, the
-// resident-update path of Insert — resolves through idx in O(1), and
-// because the state rides in the same word, a Probe (the snoop path) costs
-// exactly one load. The way arrays remain authoritative for geometry:
-// victim selection on Insert still scans the line's set, which is the only
-// remaining scan in the cache and runs once per fill rather than once per
-// access.
+// has held. Every lookup-shaped operation — Lookup, Probe, SetState —
+// resolves through idx in O(1), and because the state rides in the same
+// word, a Probe (the snoop path) costs exactly one load. The way arrays
+// remain authoritative for geometry: victim selection on a fill still
+// scans the line's set, which is the only remaining scan in the cache and
+// runs once per fill rather than once per access.
 //
-// Set storage is allocated lazily, one set on its first Insert: building a
+// Set storage is allocated lazily, one set on its first fill: building a
 // paper-configuration 6 MiB L2 would otherwise zero megabytes per
 // simulation run, and short runs touch a small fraction of the sets. The
 // lazy path is invisible to callers — a never-touched set behaves exactly
@@ -166,9 +165,6 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() CacheConfig { return c.cfg }
-
 func (c *Cache) setOf(l Line) int {
 	if c.pow2 {
 		return int(uint64(l) & c.mask)
@@ -176,7 +172,7 @@ func (c *Cache) setOf(l Line) int {
 	return int(uint64(l) % c.nsets)
 }
 
-// allocSet materializes a set's backing storage on its first Insert and
+// allocSet materializes a set's backing storage on its first fill and
 // returns the block offset.
 func (c *Cache) allocSet(s int) int {
 	off := len(c.meta)
@@ -205,7 +201,7 @@ func (c *Cache) Lookup(l Line) MESIState {
 // state (-1 on a miss). The write path reads and then transitions the
 // state of the same way; returning the index lets it use setStateAt
 // instead of a second residency resolution. Clock advance and LRU refresh
-// are identical to Lookup. The index is valid until the next Insert into
+// are identical to Lookup. The index is valid until the next fill into
 // this cache.
 func (c *Cache) lookupWay(l Line) (int, MESIState) {
 	c.clock++
@@ -255,30 +251,17 @@ func (c *Cache) setStateAt(ix int, l Line, s MESIState) {
 	*p = int32(ix+1) | int32(s)<<wayBits
 }
 
-// Eviction describes a line displaced by Insert.
+// Eviction describes a line displaced by a fill.
 type Eviction struct {
 	Line     Line
 	State    MESIState // Modified means a write-back is required
 	Happened bool
 }
 
-// Insert installs a line in the given state, evicting the LRU way of its
-// set if necessary, and returns the eviction (if any). Inserting a line
-// that is already resident just updates its state and LRU position.
-func (c *Cache) Insert(l Line, s MESIState) Eviction {
-	c.clock++
-	if p := c.idx.at(uint64(l)); p != nil && *p != 0 {
-		ix := *p & wayMask
-		c.meta[ix-1].lru = c.clock
-		*p = ix | int32(s)<<wayBits
-		return Eviction{}
-	}
-	return c.fill(l, s)
-}
-
-// insertNew is Insert for a line the caller has just established is not
-// resident (a miss fill); it skips the residency probe. Calling it with a
-// resident line would duplicate the line in its set.
+// insertNew installs a line the caller has just established is not
+// resident (a miss fill), evicting the LRU way of its set if necessary; it
+// skips the residency probe. Calling it with a resident line would
+// duplicate the line in its set.
 func (c *Cache) insertNew(l Line, s MESIState) Eviction {
 	c.clock++
 	return c.fill(l, s)
@@ -347,14 +330,4 @@ func (c *Cache) Len() int {
 		}
 	}
 	return n
-}
-
-// Flush invalidates every line without write-backs (test helper).
-func (c *Cache) Flush() {
-	for i := range c.meta {
-		if t := c.meta[i].tag; t != invalidTag {
-			*c.idx.at(t) = 0
-			c.meta[i].tag = invalidTag
-		}
-	}
 }

@@ -178,3 +178,27 @@ func TestInsertedLineIsResident(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Insert installs a line in the given state, evicting the LRU way of its
+// set if necessary, and returns the eviction (if any). Inserting a line
+// that is already resident just updates its state and LRU position.
+func (c *Cache) Insert(l Line, s MESIState) Eviction {
+	c.clock++
+	if p := c.idx.at(uint64(l)); p != nil && *p != 0 {
+		ix := *p & wayMask
+		c.meta[ix-1].lru = c.clock
+		*p = ix | int32(s)<<wayBits
+		return Eviction{}
+	}
+	return c.fill(l, s)
+}
+
+// Flush invalidates every line without write-backs (test helper).
+func (c *Cache) Flush() {
+	for i := range c.meta {
+		if t := c.meta[i].tag; t != invalidTag {
+			*c.idx.at(t) = 0
+			c.meta[i].tag = invalidTag
+		}
+	}
+}

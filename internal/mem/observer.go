@@ -74,6 +74,3 @@ type Observer interface {
 // simulation engine calls this once before a run when invariant checking is
 // enabled.
 func (s *System) SetObserver(o Observer) { s.obs = o }
-
-// Observer returns the armed observer (nil when disabled).
-func (s *System) Observer() Observer { return s.obs }

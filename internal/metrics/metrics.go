@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Event identifies one hardware event tracked by the simulator.
@@ -107,8 +106,7 @@ func (e Event) String() string {
 // also the point where the conservation checker (internal/check) reads
 // them, so checker reads never race with engine writes. Host-level
 // parallelism (internal/runner) is across runs, never within one, so
-// distinct runs never share a bank. Anything that genuinely needs
-// cross-goroutine reporting into a single bank must use SharedCounters.
+// distinct runs never share a bank.
 type Counters struct {
 	counts [numEvents]uint64
 }
@@ -122,9 +120,6 @@ func (c *Counters) Inc(e Event) { c.counts[e]++ }
 // Get returns the current value of the counter for event e.
 func (c *Counters) Get(e Event) uint64 { return c.counts[e] }
 
-// Reset zeroes every counter.
-func (c *Counters) Reset() { c.counts = [numEvents]uint64{} }
-
 // Merge adds every counter of other into c.
 func (c *Counters) Merge(other *Counters) {
 	for i := range c.counts {
@@ -134,29 +129,6 @@ func (c *Counters) Merge(other *Counters) {
 
 // Snapshot returns a copy of the counter bank.
 func (c *Counters) Snapshot() Counters { return *c }
-
-// Diff returns a new bank holding c - base for every event. Counters are
-// monotone within a run, so a negative difference indicates misuse; Diff
-// saturates at zero rather than wrapping.
-func (c *Counters) Diff(base *Counters) Counters {
-	var out Counters
-	for i := range c.counts {
-		if c.counts[i] >= base.counts[i] {
-			out.counts[i] = c.counts[i] - base.counts[i]
-		}
-	}
-	return out
-}
-
-// Map returns the counters as an event-name-keyed map, for serialization
-// and test assertions.
-func (c *Counters) Map() map[string]uint64 {
-	m := make(map[string]uint64, NumEvents)
-	for i := 0; i < NumEvents; i++ {
-		m[Event(i).String()] = c.counts[i]
-	}
-	return m
-}
 
 // String renders the non-zero counters in a stable order.
 func (c *Counters) String() string {
@@ -178,45 +150,4 @@ func (c *Counters) String() string {
 		fmt.Fprintf(&b, "%s=%d", k, vals[k])
 	}
 	return b.String()
-}
-
-// SharedCounters wraps Counters with a mutex for the few places where
-// multiple simulated components report into one bank (e.g. the coherence
-// bus shared by all cores when the engine is run with host parallelism).
-// All methods are safe for concurrent use; increments are never lost and
-// Snapshot returns an atomically consistent copy of the whole bank.
-type SharedCounters struct {
-	mu sync.Mutex
-	c  Counters
-}
-
-// Add increments the counter for event e by n.
-func (s *SharedCounters) Add(e Event, n uint64) {
-	s.mu.Lock()
-	s.c.counts[e] += n
-	s.mu.Unlock()
-}
-
-// Inc increments the counter for event e by one.
-func (s *SharedCounters) Inc(e Event) { s.Add(e, 1) }
-
-// Get returns the current value of the counter for event e.
-func (s *SharedCounters) Get(e Event) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.c.counts[e]
-}
-
-// Snapshot returns a copy of the underlying bank.
-func (s *SharedCounters) Snapshot() Counters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.c
-}
-
-// Reset zeroes every counter.
-func (s *SharedCounters) Reset() {
-	s.mu.Lock()
-	s.c.Reset()
-	s.mu.Unlock()
 }

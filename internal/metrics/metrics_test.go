@@ -1,8 +1,8 @@
 package metrics
 
 import (
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -42,19 +42,6 @@ func TestCountersAddIncGet(t *testing.T) {
 	}
 }
 
-func TestCountersReset(t *testing.T) {
-	var c Counters
-	for i := 0; i < NumEvents; i++ {
-		c.Add(Event(i), uint64(i+1))
-	}
-	c.Reset()
-	for i := 0; i < NumEvents; i++ {
-		if c.Get(Event(i)) != 0 {
-			t.Errorf("event %v not reset", Event(i))
-		}
-	}
-}
-
 func TestCountersMerge(t *testing.T) {
 	var a, b Counters
 	a.Add(Invalidations, 3)
@@ -73,22 +60,6 @@ func TestCountersMerge(t *testing.T) {
 	}
 }
 
-func TestCountersDiff(t *testing.T) {
-	var base, cur Counters
-	base.Add(L1Hits, 10)
-	cur.Add(L1Hits, 25)
-	cur.Add(L1Misses, 5)
-	d := cur.Diff(&base)
-	if d.Get(L1Hits) != 15 || d.Get(L1Misses) != 5 {
-		t.Errorf("diff = %v", d.Map())
-	}
-	// Saturates instead of wrapping.
-	d2 := base.Diff(&cur)
-	if d2.Get(L1Hits) != 0 {
-		t.Errorf("negative diff should saturate, got %d", d2.Get(L1Hits))
-	}
-}
-
 func TestCountersSnapshotIsCopy(t *testing.T) {
 	var c Counters
 	c.Add(TLBMisses, 2)
@@ -99,16 +70,9 @@ func TestCountersSnapshotIsCopy(t *testing.T) {
 	}
 }
 
-func TestCountersMapAndString(t *testing.T) {
+func TestCountersString(t *testing.T) {
 	var c Counters
 	c.Add(L2Misses, 9)
-	m := c.Map()
-	if len(m) != NumEvents {
-		t.Errorf("Map has %d entries, want %d", len(m), NumEvents)
-	}
-	if m["l2_misses"] != 9 {
-		t.Errorf("Map[l2_misses] = %d", m["l2_misses"])
-	}
 	s := c.String()
 	if !strings.Contains(s, "l2_misses=9") {
 		t.Errorf("String() = %q", s)
@@ -119,29 +83,11 @@ func TestCountersMapAndString(t *testing.T) {
 	}
 }
 
-func TestSharedCountersConcurrent(t *testing.T) {
-	var s SharedCounters
-	var wg sync.WaitGroup
-	const workers, each = 8, 1000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				s.Inc(SnoopTransactions)
-			}
-		}()
+func BenchmarkCountersInc(b *testing.B) {
+	var c Counters
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Inc(L1Hits)
 	}
-	wg.Wait()
-	if got := s.Get(SnoopTransactions); got != workers*each {
-		t.Errorf("concurrent count = %d, want %d", got, workers*each)
-	}
-	snap := s.Snapshot()
-	if snap.Get(SnoopTransactions) != workers*each {
-		t.Error("snapshot mismatch")
-	}
-	s.Reset()
-	if s.Get(SnoopTransactions) != 0 {
-		t.Error("reset failed")
-	}
+	runtime.KeepAlive(&c)
 }

@@ -20,7 +20,8 @@ type PanicError struct {
 func (e *PanicError) Error() string { return fmt.Sprintf("job panicked: %v", e.Value) }
 
 // JobError is the failure record of one job in a partial-result run: which
-// job, how many attempts it was given, and the error of the last attempt.
+// job, whether it ran (Attempts is 1, or 0 for a job cancellation left
+// unclaimed), and its error.
 type JobError struct {
 	Index    int
 	Attempts int
@@ -32,13 +33,6 @@ func (e *JobError) Error() string {
 }
 
 func (e *JobError) Unwrap() error { return e.Err }
-
-// DefaultBackoff is the retry pause used when Pool.Retries > 0 and
-// Pool.Backoff is nil: quadratic in the failure count (10ms, 40ms, 90ms,
-// ...), deterministic so retried batches stay reproducible.
-func DefaultBackoff(failures int) time.Duration {
-	return time.Duration(failures*failures) * 10 * time.Millisecond
-}
 
 // MapCtx is Map with a context: cancelling ctx stops workers from claiming
 // new jobs and is delivered to in-flight jobs through their context, so
@@ -59,14 +53,6 @@ func MapCtx[T any](ctx context.Context, p Pool, n int, fn func(ctx context.Conte
 	return results, nil
 }
 
-// RunCtx is MapCtx without per-job results.
-func RunCtx(ctx context.Context, p Pool, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := MapCtx(ctx, p, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
-}
-
 // MapPartial runs every job to completion regardless of other jobs'
 // failures and returns whatever succeeded: results[i] is fn's value for
 // job i (the zero value if it failed), and the second return lists the
@@ -75,17 +61,11 @@ func RunCtx(ctx context.Context, p Pool, n int, fn func(ctx context.Context, i i
 // result ordering is bit-identical at any worker count.
 func MapPartial[T any](ctx context.Context, p Pool, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, []*JobError) {
 	results, errs := mapEngine(ctx, p, n, fn, false)
-	attempts := 1 + max(p.Retries, 0)
 	var failed []*JobError
-	for i, err := range errs {
-		if err == nil {
-			continue
+	for _, err := range errs {
+		if err != nil {
+			failed = append(failed, err.(*JobError))
 		}
-		je, ok := err.(*JobError)
-		if !ok {
-			je = &JobError{Index: i, Attempts: attempts, Err: err}
-		}
-		failed = append(failed, je)
 	}
 	return results, failed
 }
@@ -158,10 +138,10 @@ func mapEngine[T any](ctx context.Context, p Pool, n int, fn func(ctx context.Co
 					finish()
 					continue
 				}
-				v, err := runJob(ctx, p, i, fn)
+				v, err := runAttempt(ctx, p.Timeout, i, fn)
 				if err != nil {
 					if !failFast {
-						err = &JobError{Index: i, Attempts: 1 + max(p.Retries, 0), Err: err}
+						err = &JobError{Index: i, Attempts: 1, Err: err}
 					}
 					errs[i] = err
 					failed.Store(true)
@@ -174,39 +154,6 @@ func mapEngine[T any](ctx context.Context, p Pool, n int, fn func(ctx context.Co
 	}
 	wg.Wait()
 	return results, errs
-}
-
-// runJob gives job i its attempts: the first run plus up to p.Retries
-// retries, pausing p.Backoff (or DefaultBackoff) between them. Retrying
-// stops early when the batch context is cancelled — the cancellation error
-// wins over the attempt's own error so callers see why the batch died.
-func runJob[T any](ctx context.Context, p Pool, i int, fn func(ctx context.Context, i int) (T, error)) (T, error) {
-	backoff := p.Backoff
-	if backoff == nil {
-		backoff = DefaultBackoff
-	}
-	var (
-		v   T
-		err error
-	)
-	for attempt := 0; ; attempt++ {
-		v, err = runAttempt(ctx, p.Timeout, i, fn)
-		if err == nil || attempt >= p.Retries {
-			return v, err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return v, cerr
-		}
-		if d := backoff(attempt + 1); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return v, ctx.Err()
-			case <-t.C:
-			}
-		}
-	}
 }
 
 // runAttempt executes one attempt of job i under the per-attempt timeout.

@@ -115,6 +115,9 @@ func TestPerJobTimeout(t *testing.T) {
 	if !errors.Is(failed[0], context.DeadlineExceeded) {
 		t.Errorf("job 2 error = %v, want DeadlineExceeded", failed[0])
 	}
+	if want := "job 2 failed after 1 attempt(s): context deadline exceeded"; failed[0].Attempts != 1 || failed[0].Error() != want {
+		t.Errorf("JobError = %+v, Error() = %q, want %q", failed[0], failed[0].Error(), want)
+	}
 	for _, i := range []int{0, 1, 3} {
 		if results[i] != i+10 {
 			t.Errorf("results[%d] = %d, want %d", i, results[i], i+10)
@@ -134,69 +137,6 @@ func TestTimeoutAbandonsNonCooperativeJob(t *testing.T) {
 		})
 	if len(failed) != 1 || !errors.Is(failed[0], context.DeadlineExceeded) {
 		t.Fatalf("failed = %+v, want DeadlineExceeded", failed)
-	}
-}
-
-// Retries: a job that fails its first attempts must be retried exactly
-// Retries times with the configured deterministic backoff, succeed on a
-// later attempt, and leave no error behind.
-func TestRetryWithBackoff(t *testing.T) {
-	var calls atomic.Int64
-	var pauses []time.Duration
-	p := Pool{
-		Workers: 1,
-		Retries: 3,
-		Backoff: func(failures int) time.Duration {
-			pauses = append(pauses, time.Duration(failures)*time.Millisecond)
-			return time.Duration(failures) * time.Millisecond
-		},
-	}
-	results, err := MapCtx(context.Background(), p, 1, func(_ context.Context, i int) (int, error) {
-		if calls.Add(1) < 3 {
-			return 0, errors.New("transient")
-		}
-		return 42, nil
-	})
-	if err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	if results[0] != 42 {
-		t.Errorf("results[0] = %d", results[0])
-	}
-	if calls.Load() != 3 {
-		t.Errorf("attempts = %d, want 3", calls.Load())
-	}
-	wantPauses := []time.Duration{1 * time.Millisecond, 2 * time.Millisecond}
-	if len(pauses) != len(wantPauses) {
-		t.Fatalf("pauses = %v, want %v", pauses, wantPauses)
-	}
-	for i := range pauses {
-		if pauses[i] != wantPauses[i] {
-			t.Errorf("pause[%d] = %v, want %v", i, pauses[i], wantPauses[i])
-		}
-	}
-}
-
-// A job that keeps failing must exhaust its attempts and report the count.
-func TestRetryExhaustion(t *testing.T) {
-	var calls atomic.Int64
-	_, failed := MapPartial(context.Background(), Pool{Workers: 1, Retries: 2, Backoff: func(int) time.Duration { return 0 }}, 1,
-		func(_ context.Context, _ int) (int, error) {
-			calls.Add(1)
-			return 0, errors.New("permanent")
-		})
-	if calls.Load() != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", calls.Load())
-	}
-	if len(failed) != 1 {
-		t.Fatalf("failed = %+v", failed)
-	}
-	if failed[0].Attempts != 3 || failed[0].Err.Error() != "permanent" {
-		t.Errorf("JobError = %+v", failed[0])
-	}
-	want := "job 0 failed after 3 attempt(s): permanent"
-	if failed[0].Error() != want {
-		t.Errorf("Error() = %q, want %q", failed[0].Error(), want)
 	}
 }
 
@@ -228,15 +168,6 @@ func TestMapPartialOrderingAcrossWorkerCounts(t *testing.T) {
 				t.Errorf("workers=%d: failure[%d].Index = %d, want %d",
 					workers, i, gotFailed[i].Index, refFailed[i].Index)
 			}
-		}
-	}
-}
-
-// DefaultBackoff must be pure and quadratic.
-func TestDefaultBackoff(t *testing.T) {
-	for k, want := range map[int]time.Duration{1: 10 * time.Millisecond, 2: 40 * time.Millisecond, 3: 90 * time.Millisecond} {
-		if got := DefaultBackoff(k); got != want {
-			t.Errorf("DefaultBackoff(%d) = %v, want %v", k, got, want)
 		}
 	}
 }

@@ -47,14 +47,6 @@ type Pool struct {
 	// running detached until they return — their late result is
 	// discarded.
 	Timeout time.Duration
-	// Retries is how many extra attempts a failed job gets (0 = fail on
-	// the first error). Retries are not attempted after a cancellation.
-	Retries int
-	// Backoff returns the pause before retry attempt k (k counts failed
-	// attempts so far, starting at 1). It must be deterministic — a pure
-	// function of k — so a retried batch stays reproducible. Nil selects
-	// DefaultBackoff when Retries > 0.
-	Backoff func(failures int) time.Duration
 }
 
 // Map runs fn(0..n-1) on the pool and returns the n results in job-index

@@ -333,9 +333,9 @@ func (t *tenant) maybeCheckpoint() {
 
 // checkpoint serializes the tenant state (a consistent cut under mu),
 // writes it atomically, and compacts WAL segments wholly covered by it.
-// snapMu serializes concurrent checkpoints (applier cadence vs an
-// explicit Server.Checkpoint) so an older encoding can never overwrite a
-// newer snapshot.
+// snapMu serializes the applier's cadence with checkpoints forced from
+// outside the applier (the chaos tests force them mid-ingest) so an older
+// encoding can never overwrite a newer snapshot.
 func (t *tenant) checkpoint() error {
 	if t.wlog == nil {
 		return nil

@@ -587,19 +587,6 @@ func (s *Server) SourceSeq(tenantID, source string) (uint64, error) {
 	return seq, nil
 }
 
-// Checkpoint forces a durability snapshot of one tenant right now,
-// compacting its WAL. A no-op (nil) on a non-durable server.
-func (s *Server) Checkpoint(tenantID string) error {
-	t, err := s.lookup(tenantID)
-	if err != nil {
-		return err
-	}
-	if pe := t.quarantine.Load(); pe != nil {
-		return fmt.Errorf("%w: %q: %v", ErrTenantQuarantined, tenantID, pe.Value)
-	}
-	return t.checkpoint()
-}
-
 // Snapshot returns a deep copy of a tenant's communication matrix plus its
 // stats. The copy is taken under the tenant lock, so it is a consistent
 // point-in-time view even while ingestion continues.
@@ -609,19 +596,6 @@ func (s *Server) Snapshot(tenantID string) (*TenantSnapshot, error) {
 		return nil, err
 	}
 	return t.snapshot(), nil
-}
-
-// Tenants returns the live tenant IDs in shard order (unsorted).
-func (s *Server) Tenants() []string {
-	var out []string
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for id := range sh.tenants {
-			out = append(out, id)
-		}
-		sh.mu.RUnlock()
-	}
-	return out
 }
 
 // Stats aggregates the server-wide counters over every live tenant.
@@ -650,9 +624,6 @@ func (s *Server) Stats() Stats {
 	}
 	return st
 }
-
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain is the graceful-shutdown path (SIGTERM): it stops ingestion and
 // tenant creation, lets every applier finish what is already queued, and

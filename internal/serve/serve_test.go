@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"tlbmap/internal/vm"
@@ -184,3 +185,32 @@ func TestDrainStopsIngestKeepsQueries(t *testing.T) {
 		t.Errorf("second Drain: %v", err)
 	}
 }
+
+// Checkpoint forces a durability snapshot of one tenant right now,
+// compacting its WAL. A no-op (nil) on a non-durable server.
+func (s *Server) Checkpoint(tenantID string) error {
+	t, err := s.lookup(tenantID)
+	if err != nil {
+		return err
+	}
+	if pe := t.quarantine.Load(); pe != nil {
+		return fmt.Errorf("%w: %q: %v", ErrTenantQuarantined, tenantID, pe.Value)
+	}
+	return t.checkpoint()
+}
+
+// Tenants returns the live tenant IDs in shard order (unsorted).
+func (s *Server) Tenants() []string {
+	var out []string
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for id := range sh.tenants {
+			out = append(out, id)
+		}
+		sh.mu.RUnlock()
+	}
+	return out
+}
+
+// Draining reports whether Drain has begun.
+func (s *Server) Draining() bool { return s.draining.Load() }

@@ -280,3 +280,12 @@ func TestSoak1000Connections(t *testing.T) {
 		}
 	}
 }
+
+// appliedLog returns a copy of the applied-order event log (empty unless
+// Config.RecordApplied). The soak tests replay it single-threaded and
+// assert the matrices match byte for byte.
+func (t *tenant) appliedLog() []Event {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]Event(nil), t.log...)
+}

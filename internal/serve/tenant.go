@@ -367,17 +367,3 @@ func (t *tenant) snapshot() *TenantSnapshot {
 	snap.Confidence = t.online.Confidence()
 	return snap
 }
-
-// appliedLog returns a copy of the applied-order event log (empty unless
-// Config.RecordApplied). The soak tests replay it single-threaded and
-// assert the matrices match byte for byte.
-func (t *tenant) appliedLog() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Event(nil), t.log...)
-}
-
-// String identifies the tenant in errors and logs.
-func (t *tenant) String() string {
-	return fmt.Sprintf("tenant %q (%d threads)", t.id, t.threads)
-}

@@ -324,7 +324,7 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 	// Capability gating beyond the NullDetector fast path: detectors that
 	// declare MaybeScan or OnAccess side-effect-free no-ops (SM, HM,
 	// oracle) skip the corresponding per-event dynamic dispatch. Wrappers
-	// without the markers (Multi, Epoch, the fault layer) keep the full
+	// without the markers (Multi, the fault layer) keep the full
 	// conservative hook set.
 	scanDet := !nullDet
 	accessDet := !nullDet

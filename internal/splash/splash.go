@@ -173,6 +173,4 @@ func (r *lcg) next() uint64 {
 	return x * 0x2545f4914f6cdd1d
 }
 
-func (r *lcg) intn(n int) int { return int(r.next() % uint64(n)) }
-
 func (r *lcg) float64() float64 { return float64(r.next()>>11) / (1 << 53) }

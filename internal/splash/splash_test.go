@@ -129,7 +129,9 @@ func TestRadixIsHomogeneous(t *testing.T) {
 }
 
 func TestLUCHubRotates(t *testing.T) {
-	// Run LUC with an epoch detector: early epochs should not have the
+	// Cut LUC's run into epochs the way dynamic migration does: every
+	// migration poll takes the delta of the detector's matrix since the
+	// previous poll and moves no thread. Early epochs should not have the
 	// same dominant communicator as late epochs (the hub moves).
 	b, err := splash.Get("LUC")
 	if err != nil {
@@ -137,21 +139,26 @@ func TestLUCHubRotates(t *testing.T) {
 	}
 	as := vm.NewAddressSpace()
 	programs := b.Build(as, splash.Params{Threads: 8, Class: splash.ClassS, Seed: 1})
-	inner := comm.NewOracleDetector(8, comm.PageGranularity)
-	epochs := comm.NewEpochDetector(inner, 50_000)
-	_, err = sim.Run(sim.Config{Machine: topology.Harpertown(), Detector: epochs},
+	det := comm.NewOracleDetector(8, comm.PageGranularity)
+	var prev *comm.Matrix
+	var epochs []*comm.Matrix
+	cut := func(uint64, []int) []int {
+		cur := det.Matrix()
+		epochs = append(epochs, cur.Sub(prev))
+		prev = cur.Clone()
+		return nil
+	}
+	_, err = sim.Run(sim.Config{Machine: topology.Harpertown(), Detector: det, Migrator: cut, MigrationInterval: 50_000},
 		as, trace.NewTeam(programs, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	epochs.Flush()
-	if len(epochs.Epochs()) < 2 {
-		t.Skipf("only %d epochs at class S", len(epochs.Epochs()))
+	if len(epochs) < 2 {
+		t.Fatalf("only %d epochs at class S", len(epochs))
 	}
-	first := epochs.Epochs()[0]
-	last := epochs.Epochs()[len(epochs.Epochs())-1]
+	first, last := epochs[0], epochs[len(epochs)-1]
 	if first.Total() == 0 || last.Total() == 0 {
-		t.Skip("empty epochs")
+		t.Fatalf("empty first or last epoch (totals %d, %d)", first.Total(), last.Total())
 	}
 	if sim := first.Similarity(last); sim > 0.95 {
 		t.Errorf("first and last epochs nearly identical (%.3f); hub should rotate", sim)

@@ -79,35 +79,6 @@ func (s *Sample) Min() float64 {
 	return min
 }
 
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	max := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x > max {
-			max = x
-		}
-	}
-	return max
-}
-
-// Median returns the median, or 0 for an empty sample.
-func (s *Sample) Median() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	sorted := make([]float64, n)
-	copy(sorted, s.xs)
-	sort.Float64s(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
-}
-
 // Percentile returns the p-th percentile (p in [0, 100]) of the sample by
 // the nearest-rank method, or 0 for an empty sample. It is the latency
 // summary of the serving benchmarks (p50/p99 query latency).
@@ -155,16 +126,6 @@ func Normalize(value, baseline float64) float64 {
 		return math.Inf(1)
 	}
 	return value / baseline
-}
-
-// PercentChange returns the reduction of value relative to baseline, in
-// percent: 15.3 means "15.3% lower than the baseline", matching the way the
-// paper reports improvements ("reducing ... by up to 31.1%").
-func PercentChange(value, baseline float64) float64 {
-	if baseline == 0 {
-		return 0
-	}
-	return 100 * (baseline - value) / baseline
 }
 
 // PearsonCorrelation returns the correlation coefficient of two equal-length

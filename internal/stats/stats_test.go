@@ -10,8 +10,7 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestEmptySample(t *testing.T) {
 	var s Sample
-	if s.N() != 0 || s.Mean() != 0 || s.StdDev() != 0 || s.Median() != 0 ||
-		s.Min() != 0 || s.Max() != 0 || s.RelStdDev() != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.StdDev() != 0 || s.Min() != 0 || s.RelStdDev() != 0 {
 		t.Error("empty sample should report zeros")
 	}
 }
@@ -31,21 +30,8 @@ func TestSampleBasics(t *testing.T) {
 	if !almost(s.StdDev(), math.Sqrt(32.0/7.0)) {
 		t.Errorf("StdDev = %v", s.StdDev())
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-	if !almost(s.Median(), 4.5) {
-		t.Errorf("Median = %v", s.Median())
-	}
-}
-
-func TestMedianOdd(t *testing.T) {
-	var s Sample
-	for _, x := range []float64{9, 1, 5} {
-		s.Add(x)
-	}
-	if s.Median() != 5 {
-		t.Errorf("Median = %v", s.Median())
+	if s.Min() != 2 {
+		t.Errorf("Min = %v", s.Min())
 	}
 }
 
@@ -96,18 +82,6 @@ func TestNormalize(t *testing.T) {
 	}
 	if !math.IsInf(Normalize(1, 0), 1) {
 		t.Error("Normalize(1,0) should be +Inf")
-	}
-}
-
-func TestPercentChange(t *testing.T) {
-	if got := PercentChange(84.7, 100); !almost(got, 15.3) {
-		t.Errorf("PercentChange = %v, want 15.3", got)
-	}
-	if PercentChange(100, 0) != 0 {
-		t.Error("zero baseline should yield 0")
-	}
-	if got := PercentChange(110, 100); !almost(got, -10) {
-		t.Errorf("regression should be negative: %v", got)
 	}
 }
 

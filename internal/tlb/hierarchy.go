@@ -86,14 +86,6 @@ func (h *Hierarchy) Insert(tr vm.Translation) {
 	}
 }
 
-// Invalidate drops the page from every level.
-func (h *Hierarchy) Invalidate(p vm.Page) {
-	h.l1.Invalidate(p)
-	if h.l2 != nil {
-		h.l2.Invalidate(p)
-	}
-}
-
 // Flush empties every level, keeping the hit/miss statistics. This models
 // the full-TLB invalidations real systems suffer — context switches on
 // architectures without ASIDs, and broad shootdowns — and is what the

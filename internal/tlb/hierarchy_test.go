@@ -51,15 +51,6 @@ func TestHierarchyL2Refill(t *testing.T) {
 	}
 }
 
-func TestHierarchyInvalidate(t *testing.T) {
-	h := NewHierarchy(Config{Entries: 4, Ways: 2}, Config{Entries: 8, Ways: 4})
-	h.Insert(vm.Translation{Page: 3, Frame: 30})
-	h.Invalidate(3)
-	if _, where := h.Lookup(3); where != MissAll {
-		t.Error("invalidation incomplete")
-	}
-}
-
 func TestDefaultL2ConfigIsNehalem(t *testing.T) {
 	if DefaultL2Config.Entries != 512 || DefaultL2Config.Ways != 4 {
 		t.Error("STLB default changed")

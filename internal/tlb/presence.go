@@ -11,11 +11,11 @@ import (
 // of attached TLBs ("slots", the cores of a run) currently holding a
 // translation for it, as a multi-word bitmask so more than 64 cores work.
 //
-// The index is maintained incrementally — Insert, Invalidate and Flush on
-// an attached TLB update it in O(1) per entry touched — which inverts the
-// cost structure of the paper's HM mechanism on the host: instead of
-// comparing all pairs of TLBs set by set (Θ(P²·S), Table I), a scan walks
-// the index once, Θ(resident pages), and reads each page's holder set
+// The index is maintained incrementally — Insert (with its eviction) and
+// Flush on an attached TLB update it in O(1) per entry touched — which
+// inverts the cost structure of the paper's HM mechanism on the host:
+// instead of comparing all pairs of TLBs set by set (Θ(P²·S), Table I), a
+// scan walks the index once, Θ(resident pages), and reads each page's holder set
 // directly. The SM mechanism's "which other cores hold this page" probe
 // becomes one lookup returning a bitmask instead of a set probe in every
 // remote TLB. The *simulated* detection costs are unchanged: the modelled
@@ -60,12 +60,6 @@ func NewPresenceIndex(cores int) *PresenceIndex {
 	}
 }
 
-// Cores returns the index capacity (the slot-id upper bound).
-func (ix *PresenceIndex) Cores() int { return ix.cores }
-
-// Words returns the number of 64-bit words in each holder mask.
-func (ix *PresenceIndex) Words() int { return ix.words }
-
 // PageCount returns how many distinct pages are resident in at least one
 // attached TLB.
 func (ix *PresenceIndex) PageCount() int { return len(ix.pages) }
@@ -76,7 +70,7 @@ func (ix *PresenceIndex) Attached() int { return len(ix.owners) }
 // Attach registers a TLB with the index, assigns it the next slot and
 // absorbs any translations already resident, so attach order and insert
 // order are interchangeable. From then on the TLB maintains its bit in
-// the index on every Insert, Invalidate and Flush. It panics when the TLB
+// the index on every Insert and Flush. It panics when the TLB
 // already belongs to a different index or the capacity is exhausted —
 // both indicate a wiring error in engine construction.
 func (ix *PresenceIndex) Attach(t *TLB) int {

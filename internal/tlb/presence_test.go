@@ -184,3 +184,6 @@ func TestPresenceIndexHolders(t *testing.T) {
 		t.Fatalf("index still tracks %d pages", ix.PageCount())
 	}
 }
+
+// Words returns the number of 64-bit words in each holder mask.
+func (ix *PresenceIndex) Words() int { return ix.words }

@@ -34,17 +34,6 @@ const (
 	HardwareManaged
 )
 
-func (m Management) String() string {
-	switch m {
-	case SoftwareManaged:
-		return "software-managed"
-	case HardwareManaged:
-		return "hardware-managed"
-	default:
-		return fmt.Sprintf("management(%d)", int(m))
-	}
-}
-
 // Config describes the geometry of a TLB.
 type Config struct {
 	// Entries is the total number of translation entries.
@@ -104,22 +93,22 @@ type TLB struct {
 	pow2  bool
 
 	// setLen[s] is the number of valid entries in set s, maintained by
-	// Insert/Invalidate/Flush, so Flush, Len and PagesInSet skip empty
-	// sets without touching the entries.
+	// Insert and Flush, so Flush, Len and PagesInSet skip empty sets
+	// without touching the entries.
 	setLen []int16
 
 	// idx[p] is 1 + the flat index of page p's entry while resident, 0
 	// otherwise. Virtual pages are handed out densely from page 1 by the
 	// vm bump allocator, so a flat slice (grown lazily with the largest
 	// page inserted) serves as the residency map, and every lookup-shaped
-	// path — Lookup, Peek, Invalidate, the same-page refresh of
-	// Insert — resolves in O(1) instead of scanning the set. Only victim
-	// selection on Insert still reads the set.
+	// path — Lookup, Peek, the same-page refresh of Insert — resolves in
+	// O(1) instead of scanning the set. Only victim selection on Insert
+	// still reads the set.
 	idx []int32
 
 	// pidx/pslot bind this TLB to a PresenceIndex (nil when standalone).
-	// Insert, Invalidate and Flush keep the index's bit for this TLB
-	// current; with no index attached each pays one nil comparison.
+	// Insert and Flush keep the index's bit for this TLB current; with
+	// no index attached each pays one nil comparison.
 	pidx  *PresenceIndex
 	pslot int32
 
@@ -250,23 +239,6 @@ func (t *TLB) Peek(p vm.Page) (vm.Frame, bool) {
 	return 0, false
 }
 
-// Invalidate drops the entry for a page if present (the OS invalidation on
-// page-table modification mentioned in Section IV-B). It reports whether an
-// entry was dropped.
-func (t *TLB) Invalidate(p vm.Page) bool {
-	ix := t.resident(p)
-	if ix < 0 {
-		return false
-	}
-	t.flat[ix].valid = false
-	t.idx[p] = 0
-	t.setLen[ix/t.ways]--
-	if t.pidx != nil {
-		t.pidx.remove(t.pslot, p)
-	}
-	return true
-}
-
 // Flush invalidates every entry (e.g. on a context switch without ASIDs).
 func (t *TLB) Flush() {
 	for s, set := range t.sets {
@@ -323,19 +295,3 @@ func (t *TLB) Hits() uint64 { return t.hits }
 
 // Misses returns the number of lookups that missed.
 func (t *TLB) Misses() uint64 { return t.misses }
-
-// Evictions returns the number of LRU evictions performed.
-func (t *TLB) Evictions() uint64 { return t.evictions }
-
-// MissRate returns misses/(hits+misses), the first column of Table III.
-func (t *TLB) MissRate() float64 {
-	total := t.hits + t.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(t.misses) / float64(total)
-}
-
-// ResetStats zeroes the hit/miss/eviction counters without touching the
-// cached translations.
-func (t *TLB) ResetStats() { t.hits, t.misses, t.evictions = 0, 0, 0 }

@@ -63,9 +63,6 @@ func TestHitMissCycle(t *testing.T) {
 	if tl.Hits() != 1 || tl.Misses() != 1 {
 		t.Errorf("hits/misses = %d/%d", tl.Hits(), tl.Misses())
 	}
-	if tl.MissRate() != 0.5 {
-		t.Errorf("MissRate = %v", tl.MissRate())
-	}
 }
 
 func TestSetMapping(t *testing.T) {
@@ -168,31 +165,6 @@ func TestResidentPagesAndPagesInSet(t *testing.T) {
 	}
 }
 
-func TestResetStatsKeepsContents(t *testing.T) {
-	tl := New(DefaultConfig)
-	tl.Insert(tr(9))
-	tl.Lookup(9)
-	tl.ResetStats()
-	if tl.Hits() != 0 || tl.Misses() != 0 {
-		t.Error("stats not reset")
-	}
-	if !holds(tl, 9) {
-		t.Error("contents lost on stats reset")
-	}
-	if tl.MissRate() != 0 {
-		t.Error("miss rate after reset")
-	}
-}
-
-func TestManagementString(t *testing.T) {
-	if SoftwareManaged.String() != "software-managed" || HardwareManaged.String() != "hardware-managed" {
-		t.Error("management names wrong")
-	}
-	if Management(9).String() == "" {
-		t.Error("unknown management empty")
-	}
-}
-
 // TestCapacityInvariant: the TLB never holds more than Entries pages and
 // never more than Ways pages per set, under arbitrary insert sequences.
 func TestCapacityInvariant(t *testing.T) {
@@ -248,3 +220,23 @@ func TestEvictionOnlyWhenSetFull(t *testing.T) {
 		t.Error("full set did not evict")
 	}
 }
+
+// Invalidate drops the entry for a page if present (the OS invalidation on
+// page-table modification mentioned in Section IV-B). It reports whether an
+// entry was dropped.
+func (t *TLB) Invalidate(p vm.Page) bool {
+	ix := t.resident(p)
+	if ix < 0 {
+		return false
+	}
+	t.flat[ix].valid = false
+	t.idx[p] = 0
+	t.setLen[ix/t.ways]--
+	if t.pidx != nil {
+		t.pidx.remove(t.pslot, p)
+	}
+	return true
+}
+
+// Evictions returns the number of LRU evictions performed.
+func (t *TLB) Evictions() uint64 { return t.evictions }

@@ -2,8 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"hash/fnv"
-	"strings"
 )
 
 // LevelSpec describes one level of a regular sharing hierarchy, innermost
@@ -55,18 +53,12 @@ func BuildHierarchy(name string, levels []LevelSpec) *Machine {
 		l2Domain: make([]int, total),
 		chip:     make([]int, total),
 		numa:     make([]int, total),
-		latency:  map[Level]uint64{LevelCore: 0},
 	}
 	m.kinds[0] = LevelCore
 	for d := 1; d < depth; d++ {
 		spec := levels[d-1]
 		m.kinds[d] = spec.Kind
 		m.levelLat[d] = spec.Latency
-		// First (innermost) occurrence of a kind wins the per-kind map,
-		// matching how CommonLevel resolves ties.
-		if _, ok := m.latency[spec.Kind]; !ok {
-			m.latency[spec.Kind] = spec.Latency
-		}
 	}
 
 	// width[d] = cores per depth-d domain.
@@ -112,11 +104,10 @@ func BuildHierarchy(name string, levels []LevelSpec) *Machine {
 		}
 	}
 
-	// The explicit tree, for String, GroupSizes and the hierarchical
-	// mapper's group walk.
-	var grow func(d, id int, parent *Node) *Node
-	grow = func(d, id int, parent *Node) *Node {
-		n := &Node{Level: m.kinds[d], ID: id, parent: parent}
+	// The explicit tree, for String.
+	var grow func(d, id int) *Node
+	grow = func(d, id int) *Node {
+		n := &Node{Level: m.kinds[d], ID: id}
 		if d == 0 {
 			n.cores = []int{id}
 			m.coreNode[id] = n
@@ -124,13 +115,13 @@ func BuildHierarchy(name string, levels []LevelSpec) *Machine {
 		}
 		fanout := levels[d-1].Fanout
 		for k := 0; k < fanout; k++ {
-			child := grow(d-1, id*fanout+k, n)
+			child := grow(d-1, id*fanout+k)
 			n.Children = append(n.Children, child)
 			n.cores = append(n.cores, child.cores...)
 		}
 		return n
 	}
-	m.root = grow(depth-1, 0, nil)
+	m.root = grow(depth-1, 0)
 	return m
 }
 
@@ -183,36 +174,4 @@ func Manycore(cores int) *Machine {
 	m := MultiSocketNUMA(cores/32, 2, 4, 4)
 	m.Name = fmt.Sprintf("manycore-%d", cores)
 	return m
-}
-
-// Describe renders a compact, stable summary of the hierarchy: one line
-// per level with domain counts and latencies, followed by an FNV-64a hash
-// of the full distance matrix. The hash pins every pairwise latency
-// without storing O(cores²) golden text, so the canonical 64/256/1024-core
-// shapes stay byte-reviewable.
-func (m *Machine) Describe() string {
-	var b strings.Builder
-	n := m.NumCores()
-	fmt.Fprintf(&b, "%s: %d cores, depth %d\n", m.Name, n, m.Depth())
-	for d := 0; d < m.Depth(); d++ {
-		domains := 1
-		if d < m.Depth()-1 {
-			domains = m.DomainAt(d, n-1) + 1
-		}
-		fmt.Fprintf(&b, "  depth %d: %s x%d, %d cores each, latency %d\n",
-			d, m.kinds[d], domains, n/domains, m.levelLat[d])
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	for a := 0; a < n; a++ {
-		for bb := 0; bb < n; bb++ {
-			v := m.Latency(a, bb)
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(v >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
-	}
-	fmt.Fprintf(&b, "  distance fnv64a: %#016x\n", h.Sum64())
-	return b.String()
 }

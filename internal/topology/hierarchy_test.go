@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -67,12 +69,12 @@ func TestHierarchyShapes(t *testing.T) {
 			if got := m.NumCores(); got != tc.cores {
 				t.Fatalf("NumCores = %d, want %d", got, tc.cores)
 			}
-			if got := m.Depth(); got != tc.depth {
-				t.Fatalf("Depth = %d, want %d", got, tc.depth)
+			if got := len(m.kinds); got != tc.depth {
+				t.Fatalf("depth = %d, want %d", got, tc.depth)
 			}
 			for d, want := range tc.kinds {
-				if got := m.KindAt(d); got != want {
-					t.Fatalf("KindAt(%d) = %s, want %s", d, got, want)
+				if got := m.kinds[d]; got != want {
+					t.Fatalf("level kind at depth %d = %s, want %s", d, got, want)
 				}
 			}
 			for d := 0; d < tc.depth; d++ {
@@ -101,25 +103,25 @@ func TestHierarchyShapes(t *testing.T) {
 }
 
 // TestDieFallsBackToChip: a hierarchy with dies but no explicit chip
-// level must expose the die as the chip view, keeping Chip()-based
-// accounting meaningful on multi-die parts.
+// level must expose the die as the chip view, keeping chip-based
+// accounting (SameChip) meaningful on multi-die parts.
 func TestDieFallsBackToChip(t *testing.T) {
 	m := MultiSocketNUMA(2, 2, 2, 2)
 	// 16 cores: die width 4, NUMA width 8.
-	if got := m.Chip(0); got != 0 {
-		t.Fatalf("Chip(0) = %d, want 0", got)
+	if got := m.chip[0]; got != 0 {
+		t.Fatalf("chip of core 0 = %d, want 0", got)
 	}
-	if got := m.Chip(5); got != 1 {
-		t.Fatalf("Chip(5) = %d, want die 1", got)
+	if got := m.chip[5]; got != 1 {
+		t.Fatalf("chip of core 5 = %d, want die 1", got)
 	}
 	if got := m.NUMANode(9); got != 1 {
 		t.Fatalf("NUMANode(9) = %d, want 1", got)
 	}
 }
 
-// TestDistanceMatrixProperties checks the metric sanity of the derived
-// distance matrix on each canonical shape: zero diagonal, symmetry, and
-// the ultrametric (strong triangle) inequality every sharing hierarchy
+// TestDistanceMatrixProperties checks the metric sanity of the pairwise
+// core-to-core latencies on each canonical shape: zero diagonal, symmetry,
+// and the ultrametric (strong triangle) inequality every sharing hierarchy
 // satisfies — d(a,c) <= max(d(a,b), d(b,c)).
 func TestDistanceMatrixProperties(t *testing.T) {
 	for _, m := range []*Machine{
@@ -132,31 +134,25 @@ func TestDistanceMatrixProperties(t *testing.T) {
 		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
 			n := m.NumCores()
-			dist := m.DistanceMatrix()
-			if len(dist) != n {
-				t.Fatalf("DistanceMatrix has %d rows, want %d", len(dist), n)
-			}
+			dist := m.Latency
 			for a := 0; a < n; a++ {
-				if dist[a][a] != 0 {
-					t.Fatalf("dist[%d][%d] = %d, want 0", a, a, dist[a][a])
+				if dist(a, a) != 0 {
+					t.Fatalf("dist(%d, %d) = %d, want 0", a, a, dist(a, a))
 				}
 				for b := a + 1; b < n; b++ {
-					if dist[a][b] != dist[b][a] {
-						t.Fatalf("asymmetric: dist[%d][%d]=%d dist[%d][%d]=%d",
-							a, b, dist[a][b], b, a, dist[b][a])
+					if dist(a, b) != dist(b, a) {
+						t.Fatalf("asymmetric: dist(%d, %d)=%d dist(%d, %d)=%d",
+							a, b, dist(a, b), b, a, dist(b, a))
 					}
-					if dist[a][b] == 0 {
+					if dist(a, b) == 0 {
 						t.Fatalf("distinct cores %d,%d at distance 0", a, b)
-					}
-					if dist[a][b] != m.Latency(a, b) {
-						t.Fatalf("dist[%d][%d]=%d but Latency=%d", a, b, dist[a][b], m.Latency(a, b))
 					}
 				}
 			}
 			// Ultrametric inequality: exhaustive up to 64 cores, randomized
 			// triples beyond (full O(n³) at 1024 is ~10⁹ checks).
 			check := func(a, b, c int) {
-				ab, bc, ac := dist[a][b], dist[b][c], dist[a][c]
+				ab, bc, ac := dist(a, b), dist(b, c), dist(a, c)
 				lim := ab
 				if bc > lim {
 					lim = bc
@@ -189,7 +185,7 @@ func TestDistanceMatrixProperties(t *testing.T) {
 func TestLatencyMonotoneInDepth(t *testing.T) {
 	for _, m := range []*Machine{MultiSocket(2, 2, 2), Manycore(64)} {
 		prev := uint64(0)
-		for d := 1; d < m.Depth(); d++ {
+		for d := 1; d < len(m.kinds); d++ {
 			lat := m.levelLat[d]
 			if lat < prev {
 				t.Fatalf("%s: latency at depth %d (%d) below depth %d (%d)", m.Name, d, lat, d-1, prev)
@@ -274,4 +270,36 @@ func TestDescribeGolden(t *testing.T) {
 			t.Errorf("%s drifted from its golden file.\n--- want\n%s\n--- got\n%s", name, want, got)
 		}
 	}
+}
+
+// Describe renders a compact, stable summary of the hierarchy: one line
+// per level with domain counts and latencies, followed by an FNV-64a hash
+// of the full distance matrix. The hash pins every pairwise latency
+// without storing O(cores²) golden text, so the canonical 64/256/1024-core
+// shapes stay byte-reviewable.
+func (m *Machine) Describe() string {
+	var b strings.Builder
+	n := m.NumCores()
+	fmt.Fprintf(&b, "%s: %d cores, depth %d\n", m.Name, n, len(m.kinds))
+	for d := 0; d < len(m.kinds); d++ {
+		domains := 1
+		if d < len(m.kinds)-1 {
+			domains = m.DomainAt(d, n-1) + 1
+		}
+		fmt.Fprintf(&b, "  depth %d: %s x%d, %d cores each, latency %d\n",
+			d, m.kinds[d], domains, n/domains, m.levelLat[d])
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for a := 0; a < n; a++ {
+		for bb := 0; bb < n; bb++ {
+			v := m.Latency(a, bb)
+			for i := 0; i < 8; i++ {
+				buf[i] = byte(v >> (8 * i))
+			}
+			h.Write(buf[:])
+		}
+	}
+	fmt.Fprintf(&b, "  distance fnv64a: %#016x\n", h.Sum64())
+	return b.String()
 }

@@ -53,18 +53,7 @@ type Node struct {
 	Level    Level
 	ID       int // index among nodes of the same level
 	Children []*Node
-	parent   *Node
 	cores    []int // core IDs under this node, in order
-}
-
-// Parent returns the parent node, or nil for the root.
-func (n *Node) Parent() *Node { return n.parent }
-
-// Cores returns the IDs of all cores in this subtree, in ascending order.
-func (n *Node) Cores() []int {
-	out := make([]int, len(n.cores))
-	copy(out, n.cores)
-	return out
 }
 
 // Machine is a fully built topology tree with fast distance queries.
@@ -97,23 +86,14 @@ type Machine struct {
 	chip []int
 	// numa[i] is the NUMA node of core i (or -1).
 	numa []int
-	// latency[l] is the round-trip communication cost, in cycles, between
-	// two cores whose nearest common ancestor is at level l.
-	latency map[Level]uint64
 }
 
 // NumCores returns the number of cores in the machine.
 func (m *Machine) NumCores() int { return len(m.coreNode) }
 
-// Root returns the root of the sharing tree.
-func (m *Machine) Root() *Node { return m.root }
-
 // L2Domain returns the ID of the L2 sharing domain that core belongs to,
 // or -1 if the topology has no shared L2 level.
 func (m *Machine) L2Domain(core int) int { return m.l2Domain[core] }
-
-// Chip returns the chip that core belongs to, or -1.
-func (m *Machine) Chip(core int) int { return m.chip[core] }
 
 // NUMANode returns the NUMA node that core belongs to, or -1 for UMA
 // machines.
@@ -145,25 +125,12 @@ func (m *Machine) commonDepth(a, b int) int {
 	return root
 }
 
-// CommonLevel returns the level of the nearest common sharing domain of two
-// cores: LevelCore if a == b, LevelL2 if they share an L2, and so on.
-func (m *Machine) CommonLevel(a, b int) Level {
-	return m.kinds[m.commonDepth(a, b)]
-}
-
 // Latency returns the modelled round-trip communication cost, in cycles,
 // between two cores. It is the cost charged by the coherence interconnect
 // for a cache-to-cache transfer between them.
 func (m *Machine) Latency(a, b int) uint64 {
 	return m.levelLat[m.commonDepth(a, b)]
 }
-
-// Depth returns the number of levels in the hierarchy, cores included:
-// Harpertown has depth 4 (core, L2, chip, machine).
-func (m *Machine) Depth() int { return len(m.kinds) }
-
-// KindAt returns the level kind at a given depth, innermost first.
-func (m *Machine) KindAt(depth int) Level { return m.kinds[depth] }
 
 // DomainAt returns the ID of the depth-d ancestor domain of core: the core
 // itself at depth 0, and domain 0 at the root depth.
@@ -175,50 +142,6 @@ func (m *Machine) DomainAt(depth, core int) int {
 		return 0
 	}
 	return int(m.domain[depth][core])
-}
-
-// DistanceMatrix materializes the pairwise core-to-core latency matrix of
-// the machine. Because latencies derive from a tree, the matrix is an
-// ultrametric whenever the per-level costs grow outward: d(a,c) never
-// exceeds max(d(a,b), d(b,c)).
-func (m *Machine) DistanceMatrix() [][]uint64 {
-	n := m.NumCores()
-	out := make([][]uint64, n)
-	cells := make([]uint64, n*n)
-	for a := 0; a < n; a++ {
-		out[a] = cells[a*n : (a+1)*n]
-		for b := a + 1; b < n; b++ {
-			out[a][b] = m.Latency(a, b)
-		}
-	}
-	for a := 1; a < n; a++ {
-		for b := 0; b < a; b++ {
-			out[a][b] = out[b][a]
-		}
-	}
-	return out
-}
-
-// LevelLatency returns the cost associated with a sharing level.
-func (m *Machine) LevelLatency(l Level) uint64 { return m.latency[l] }
-
-// GroupSizes returns, from the leaves upward, the branching factors the
-// hierarchical mapper must honor: how many cores share an L2, how many L2
-// domains share a chip, and so on. For Harpertown this is [2, 2, 2]
-// (2 cores per L2, 2 L2s per chip, 2 chips per machine).
-func (m *Machine) GroupSizes() []int {
-	var sizes []int
-	n := m.root
-	for len(n.Children) > 0 {
-		sizes = append(sizes, len(n.Children))
-		n = n.Children[0]
-	}
-	// sizes currently lists branching factors from the root down; the
-	// mapper wants them leaf-up.
-	for i, j := 0, len(sizes)-1; i < j; i, j = i+1, j-1 {
-		sizes[i], sizes[j] = sizes[j], sizes[i]
-	}
-	return sizes
 }
 
 // String renders the tree for debugging.
@@ -291,7 +214,7 @@ type Spec struct {
 // Build constructs a Machine from a Spec. It panics on non-positive
 // dimensions, which indicate a programming error in a preset. It is a
 // thin wrapper over BuildHierarchy that preserves the historical level
-// naming and LevelLatency semantics of the four-parameter machines.
+// naming of the four-parameter machines.
 func Build(name string, s Spec) *Machine {
 	if s.Chips <= 0 || s.L2PerChip <= 0 || s.CoresPerL2 <= 0 {
 		panic(fmt.Sprintf("topology: invalid spec %+v", s))
@@ -308,11 +231,5 @@ func Build(name string, s Spec) *Machine {
 			LevelSpec{Kind: LevelNUMANode, Fanout: s.Chips, Latency: s.BusLatency},
 			LevelSpec{Kind: LevelMachine, Fanout: s.NUMANodes, Latency: s.NUMALatency})
 	}
-	m := BuildHierarchy(name, levels)
-	// Historical LevelLatency contract: UMA machines answer the NUMA-node
-	// level with the bus cost, and the generic map already has the rest.
-	if uma {
-		m.latency[LevelNUMANode] = s.BusLatency
-	}
-	return m
+	return BuildHierarchy(name, levels)
 }

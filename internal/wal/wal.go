@@ -548,18 +548,6 @@ func (l *Log) Compact(through uint64) (int, error) {
 	return removed, nil
 }
 
-// Segments returns how many on-disk segments the log currently spans
-// (completed plus the active one, if it holds records).
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.segments)
-	if l.actInfo.nrecords > 0 {
-		n++
-	}
-	return n
-}
-
 // Close flushes, fsyncs and closes the log. Further operations return
 // ErrClosed.
 func (l *Log) Close() error {

@@ -323,3 +323,15 @@ func TestBlobRoundTripAndCorruption(t *testing.T) {
 		}
 	}
 }
+
+// Segments returns how many on-disk segments the log currently spans
+// (completed plus the active one, if it holds records).
+func (l *Log) Segments() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.segments)
+	if l.actInfo.nrecords > 0 {
+		n++
+	}
+	return n
+}
