@@ -101,8 +101,9 @@ func Differential(cfg DiffConfig) (*DiffReport, error) {
 	simCfg := sim.Config{
 		Machine: cfg.Machine,
 		Checker: suite,
-		// Small structures migrate lines and TLB entries through every
-		// state quickly; tiny caches maximize eviction coverage.
+		// Only the TLB is shrunk: a 32-entry TLB cycles translations
+		// through every state quickly. The caches keep their Table II
+		// geometry, which the corpora and matrix_repr.golden pin.
 		TLB: tlb.Config{Entries: 32, Ways: 4},
 	}
 	var det comm.Detector

@@ -27,7 +27,6 @@ import (
 	"tlbmap/internal/comm"
 	"tlbmap/internal/fault"
 	"tlbmap/internal/mapping"
-	"tlbmap/internal/mem"
 	"tlbmap/internal/metrics"
 	"tlbmap/internal/sim"
 	"tlbmap/internal/tlb"
@@ -58,31 +57,35 @@ const (
 	OracleLine Mechanism = "oracle-line"
 )
 
+// DefaultSampleEvery is the SM sampling period n when Options.SampleEvery
+// is 0. The paper uses n = 100 (search on 1% of misses) on full-length NPB
+// runs with millions of TLB misses; the simulated kernels here are about
+// four orders of magnitude shorter, so the default is n = 10 to keep the
+// number of searches per run statistically comparable.
+const DefaultSampleEvery = 10
+
+// DefaultScanInterval is the HM scan period in simulated cycles when
+// Options.ScanInterval is 0. The paper uses 10M cycles on
+// multi-billion-cycle runs; 100k cycles keeps the same scan-per-run-length
+// ratio for the shorter simulated kernels.
+const DefaultScanInterval = 100_000
+
 // Options configures a pipeline run. The zero value reproduces the paper's
 // setup: a two-socket Harpertown machine, Table II caches, a 64-entry 4-way
-// TLB, SM sampling every 100th miss, and a scaled HM scan interval.
+// TLB, SM sampling every DefaultSampleEvery-th miss, and a scaled HM scan
+// interval.
 type Options struct {
 	// Machine is the hardware topology; nil selects topology.Harpertown.
 	Machine *topology.Machine
-	// L1/L2 cache geometries; zero values select the Table II defaults.
-	L1, L2 mem.CacheConfig
 	// TLB geometry; the zero value selects 64 entries, 4-way.
 	TLB tlb.Config
-	// TLB2 optionally adds a second-level TLB on hardware-managed
-	// machines (use tlb.DefaultL2Config for the Nehalem STLB geometry).
-	TLB2 tlb.Config
-	// SampleEvery is the SM sampling period n. The paper uses n = 100
-	// (search on 1% of misses) on full-length NPB runs with millions of
-	// TLB misses; the simulated kernels here are about four orders of
-	// magnitude shorter, so the default is n = 10 to keep the number of
-	// searches per run statistically comparable. Set 100 to reproduce the
-	// paper's exact configuration, or 1 to monitor every miss (which the
-	// paper also evaluates).
+	// SampleEvery is the SM sampling period n (0 selects
+	// DefaultSampleEvery). Set 100 to reproduce the paper's exact
+	// configuration, or 1 to monitor every miss (which the paper also
+	// evaluates).
 	SampleEvery uint64
-	// ScanInterval is the HM scan period in simulated cycles. The paper
-	// uses 10M cycles on multi-billion-cycle runs; the default here is
-	// 100k cycles, the same scan-per-run-length ratio for the shorter
-	// simulated kernels.
+	// ScanInterval is the HM scan period in simulated cycles (0 selects
+	// DefaultScanInterval).
 	ScanInterval uint64
 	// JitterSeed enables run-to-run noise (see sim.Config); 0 disables.
 	JitterSeed int64
@@ -105,12 +108,6 @@ type Options struct {
 	// cancels an in-flight run with sim.ErrInterrupted. The CLIs wire
 	// Ctrl-C here; the hardened runner wires per-job timeouts.
 	Interrupt <-chan struct{}
-	// MinConfidence overrides the online controller's graceful-
-	// degradation gate in EvaluateWithDynamicMigration: 0 selects
-	// mapping.DefaultMinConfidence, a negative value disables the gate
-	// (the pre-degradation thrash-on-noise behaviour, kept for
-	// comparison runs).
-	MinConfidence float64
 }
 
 func (o Options) withDefaults() Options {
@@ -118,10 +115,10 @@ func (o Options) withDefaults() Options {
 		o.Machine = topology.Harpertown()
 	}
 	if o.SampleEvery == 0 {
-		o.SampleEvery = 10
+		o.SampleEvery = DefaultSampleEvery
 	}
 	if o.ScanInterval == 0 {
-		o.ScanInterval = 100_000
+		o.ScanInterval = DefaultScanInterval
 	}
 	return o
 }
@@ -172,22 +169,7 @@ func tlbModeFor(m Mechanism) tlb.Management {
 // identity placement (thread i on core i, as during the paper's simulated
 // detection phase) and returns the detected communication matrix.
 func Detect(w Workload, m Mechanism, opt Options) (*Detection, error) {
-	opt = opt.withDefaults()
-	as := vm.NewAddressSpace()
-	programs := w(as)
-	det, err := newDetector(m, len(programs), opt)
-	if err != nil {
-		return nil, err
-	}
-	res, fstats, err := runPrograms(programs, as, opt, simRun{detector: det, mode: tlbModeFor(m)})
-	if err != nil {
-		return nil, err
-	}
-	d := &Detection{Mechanism: m, Matrix: res.Matrix, Result: res, FaultStats: fstats}
-	if smd, ok := det.(*comm.SMDetector); ok {
-		d.SampledFraction = smd.SampledFraction()
-	}
-	return d, nil
+	return EvaluateWithDetection(w, nil, m, opt)
 }
 
 // DetectAll runs the workload once with SM, HM and the page-granularity
@@ -382,10 +364,7 @@ func runPrograms(programs []trace.Program, as *vm.AddressSpace, opt Options, r s
 	res, err := sim.Run(sim.Config{
 		Checker:           checker,
 		Machine:           opt.Machine,
-		L1:                opt.L1,
-		L2:                opt.L2,
 		TLB:               opt.TLB,
-		TLB2:              opt.TLB2,
 		TLBMode:           r.mode,
 		Placement:         r.placement,
 		Detector:          det,

@@ -54,12 +54,6 @@ func EvaluateWithDynamicMigration(w Workload, mech Mechanism, opt Options) (*Mig
 		identity[i] = i
 	}
 	online.Fallback = identity
-	switch {
-	case opt.MinConfidence < 0:
-		online.MinConfidence = 0 // gate disabled
-	case opt.MinConfidence > 0:
-		online.MinConfidence = opt.MinConfidence
-	}
 	// The online controller reads the fault layer's published view, so
 	// matrix-publication faults (dropped scans, bit decay) reach the
 	// controller exactly as they would reach a real migration daemon.

@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 
 	"tlbmap/internal/comm"
+	"tlbmap/internal/core"
 	"tlbmap/internal/mem"
 	"tlbmap/internal/tlb"
 )
@@ -18,11 +19,11 @@ func Table1(cfg Config) string {
 	opt := cfg.Options
 	sample := opt.SampleEvery
 	if sample == 0 {
-		sample = 10
+		sample = core.DefaultSampleEvery
 	}
 	interval := opt.ScanInterval
 	if interval == 0 {
-		interval = 100_000
+		interval = core.DefaultScanInterval
 	}
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
@@ -41,14 +42,7 @@ func Table1(cfg Config) string {
 // Table2 renders the active cache configuration (Table II).
 func Table2(cfg Config) string {
 	cfg = cfg.withDefaults()
-	l1 := cfg.Options.L1
-	if l1 == (mem.CacheConfig{}) {
-		l1 = mem.DefaultL1Config
-	}
-	l2 := cfg.Options.L2
-	if l2 == (mem.CacheConfig{}) {
-		l2 = mem.DefaultL2Config
-	}
+	l1, l2 := mem.DefaultL1Config, mem.DefaultL2Config
 	tcfg := cfg.Options.TLB
 	if tcfg == (tlb.Config{}) {
 		tcfg = tlb.DefaultConfig

@@ -297,18 +297,17 @@ func refineLevel(order []int, lv *mlLevel, machine *topology.Machine, n int) {
 const DefaultAutoThreshold = 128
 
 // Auto picks the mapper by problem size: the paper-exact Edmonds blossom
-// hierarchy up to the threshold, the near-linear multilevel mapper above
-// it. Existing small-machine results are bit-for-bit unchanged; manycore
-// matrices stop being cubic.
+// hierarchy up to DefaultAutoThreshold threads, the near-linear multilevel
+// mapper above it. Existing small-machine results are bit-for-bit
+// unchanged; manycore matrices stop being cubic.
 type Auto struct {
-	Threshold int
-	exact     Algorithm
-	fast      Algorithm
+	exact Algorithm
+	fast  Algorithm
 }
 
-// NewAuto returns the size-dispatching mapper with the default threshold.
+// NewAuto returns the size-dispatching mapper.
 func NewAuto() *Auto {
-	return &Auto{Threshold: DefaultAutoThreshold, exact: NewEdmonds(), fast: NewMultilevel()}
+	return &Auto{exact: NewEdmonds(), fast: NewMultilevel()}
 }
 
 // Name implements Algorithm.
@@ -316,7 +315,7 @@ func (*Auto) Name() string { return "auto" }
 
 // Map implements Algorithm.
 func (a *Auto) Map(m *comm.Matrix, machine *topology.Machine) ([]int, error) {
-	if m.N() <= a.Threshold {
+	if m.N() <= DefaultAutoThreshold {
 		return a.exact.Map(m, machine)
 	}
 	return a.fast.Map(m, machine)

@@ -109,15 +109,10 @@ func NewOnlineMapper(machine *topology.Machine, threshold float64) *OnlineMapper
 	}
 }
 
-// SetAlgorithm replaces the mapper consulted on each remap decision. The
-// serving layer uses it to keep the size-dispatching Auto default while
-// letting deadline tests install a deliberately slow algorithm; a nil
-// argument keeps the current mapper.
-func (o *OnlineMapper) SetAlgorithm(a Algorithm) {
-	if a != nil {
-		o.mapper = a
-	}
-}
+// SetAlgorithm replaces the mapper consulted on each remap decision
+// (the size-dispatching Auto by default). serve's deadline and quarantine
+// tests install slow and panicking mappers through it.
+func (o *OnlineMapper) SetAlgorithm(a Algorithm) { o.mapper = a }
 
 // Decisions returns how many epochs the controller has evaluated
 // (including idle and held ones).

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -168,49 +170,156 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			rs, err := recovered.Snapshot("app")
-			if err != nil {
-				t.Fatal(err)
-			}
-			ws, err := ref.Snapshot("app")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rs.Applied != ws.Applied {
-				t.Fatalf("recovered applied %d events, reference %d", rs.Applied, ws.Applied)
-			}
-			if rs.Applied+rs.Dropped != rs.Ingested {
-				t.Fatalf("counter invariant broken: applied %d + dropped %d != ingested %d",
-					rs.Applied, rs.Dropped, rs.Ingested)
-			}
-			if rs.LostSamples != ws.LostSamples || rs.Storms != ws.Storms {
-				t.Fatalf("fault injection diverged: lost %d/%d storms %d/%d",
-					rs.LostSamples, ws.LostSamples, rs.Storms, ws.Storms)
-			}
-			if !rs.Matrix.Equal(ws.Matrix) {
-				t.Fatal("recovered matrix differs from never-crashed reference")
-			}
-			if rs.Matrix.String() != ws.Matrix.String() {
-				t.Fatal("recovered matrix renders differently")
-			}
-			if rs.Remaps != ws.Remaps || rs.Decisions != ws.Decisions || rs.Confidence != ws.Confidence {
-				t.Fatalf("mapper state diverged: remaps %d/%d decisions %d/%d confidence %v/%v",
-					rs.Remaps, ws.Remaps, rs.Decisions, ws.Decisions, rs.Confidence, ws.Confidence)
-			}
-			// The next decision must be identical too: epoch deltas, phase
-			// tracker and confidence all recovered.
-			rq, err := recovered.Query(context.Background(), "app")
-			if err != nil {
-				t.Fatal(err)
-			}
-			wq, err := ref.Query(context.Background(), "app")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !queryEqual(rq, wq) {
-				t.Fatalf("post-recovery query diverged:\n recovered: %+v\n reference: %+v", rq, wq)
-			}
+			requireSameTenant(t, recovered, ref, "app")
 		})
+	}
+}
+
+// requireSameTenant requires a recovered tenant to equal a never-crashed
+// reference: counters, fault injection, matrix cells and rendering, mapper
+// state, and the next query's full decision (epoch deltas, phase tracker
+// and confidence all recovered).
+func requireSameTenant(t *testing.T, recovered, ref *Server, id string) {
+	t.Helper()
+	rs, err := recovered.Snapshot(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := ref.Snapshot(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Applied != ws.Applied {
+		t.Fatalf("recovered applied %d events, reference %d", rs.Applied, ws.Applied)
+	}
+	if rs.Applied+rs.Dropped != rs.Ingested {
+		t.Fatalf("counter invariant broken: applied %d + dropped %d != ingested %d",
+			rs.Applied, rs.Dropped, rs.Ingested)
+	}
+	if rs.LostSamples != ws.LostSamples || rs.Storms != ws.Storms {
+		t.Fatalf("fault injection diverged: lost %d/%d storms %d/%d",
+			rs.LostSamples, ws.LostSamples, rs.Storms, ws.Storms)
+	}
+	if !rs.Matrix.Equal(ws.Matrix) {
+		t.Fatal("recovered matrix differs from never-crashed reference")
+	}
+	if rs.Matrix.String() != ws.Matrix.String() {
+		t.Fatal("recovered matrix renders differently")
+	}
+	if rs.Remaps != ws.Remaps || rs.Decisions != ws.Decisions || rs.Confidence != ws.Confidence {
+		t.Fatalf("mapper state diverged: remaps %d/%d decisions %d/%d confidence %v/%v",
+			rs.Remaps, ws.Remaps, rs.Decisions, ws.Decisions, rs.Confidence, ws.Confidence)
+	}
+	rq, err := recovered.Query(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wq, err := ref.Query(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !queryEqual(rq, wq) {
+		t.Fatalf("post-recovery query diverged:\n recovered: %+v\n reference: %+v", rq, wq)
+	}
+}
+
+// TestRecoverEarlierBuildDirectory recovers testdata/crashed, a data
+// directory an earlier build wrote and then crashed: one 8-thread tenant
+// under wal.SyncAlways with SampleLoss and ShootdownStorm armed, fed the
+// sourced session below (a query after every second of the first eight
+// batches) with a snapshot every 512 events, its WAL aborted after the
+// last acknowledged batch. Snapshot and WAL bytes are an on-disk contract
+// between builds: the recovered tenant must equal a never-crashed server
+// fed the same stream and queries, and a resend of the last batch must be
+// a duplicate.
+func TestRecoverEarlierBuildDirectory(t *testing.T) {
+	const (
+		threads  = 8
+		perBatch = 128
+		queried  = 8
+		nbatches = 14
+		seed     = 11
+		source   = "src-1"
+	)
+	dir := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "crashed"), dir)
+	cfg := Config{Dir: dir, Sync: wal.SyncAlways, SnapshotEvery: 512, Faults: fault.Plan{Seed: seed}}
+	cfg.Faults.Intensity[fault.SampleLoss] = 0.05
+	cfg.Faults.Intensity[fault.ShootdownStorm] = 0.3
+	batches := chaosBatches(seed, threads, nbatches, perBatch)
+
+	// The premise: a snapshot plus a WAL tail past it.
+	raw, err := wal.ReadBlob(filepath.Join(tenantDir(dir, "app"), "snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapSeq := binary.LittleEndian.Uint64(raw)
+	recovered, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := recovered.lookup("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := tn.wlog.LastSeq(); snapSeq == 0 || last != nbatches || snapSeq >= last {
+		t.Fatalf("fixture holds a snapshot through seq %d and a WAL through %d, want a tail past the snapshot up to %d",
+			snapSeq, last, nbatches)
+	}
+
+	ref := New(Config{Faults: cfg.Faults})
+	if err := ref.CreateTenant("app", threads); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range batches {
+		if err := ref.IngestFrom("app", source, uint64(i+1), b); err != nil {
+			t.Fatal(err)
+		}
+		if i < queried {
+			waitApplied(t, ref, "app", uint64((i+1)*perBatch))
+			if i%2 == 1 {
+				if _, err := ref.Query(context.Background(), "app"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := ref.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	requireSameTenant(t, recovered, ref, "app")
+
+	err = recovered.IngestFrom("app", source, nbatches, batches[nbatches-1])
+	if !errors.Is(err, ErrDuplicateBatch) {
+		t.Fatalf("resend of the last batch: err = %v, want ErrDuplicateBatch", err)
+	}
+	if err := recovered.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyDir copies the regular files under src into dst, keeping the tree.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -266,11 +375,12 @@ func TestApplierCheckpointCadence(t *testing.T) {
 // TestRecoveryLosesOnlyUnsyncedTail: under wal.SyncNever only rotation
 // flushes reach disk, so a crash loses the buffered tail — but never a
 // flushed prefix, and recovery must land exactly on a batch boundary of
-// that prefix.
+// that prefix. A 4,096-event batch is a WAL record of about 48 KiB, so the
+// 1 MiB segment rotates after 22 of the 30 batches; no snapshot is taken.
 func TestRecoveryLosesOnlyUnsyncedTail(t *testing.T) {
-	const threads, perBatch, nbatches = 8, 64, 60
+	const threads, perBatch, nbatches = 8, 4096, 30
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Sync: wal.SyncNever, WALSegmentBytes: 4096}
+	cfg := Config{Dir: dir, Sync: wal.SyncNever, SnapshotEvery: nbatches*perBatch + 1}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -301,8 +411,9 @@ func TestRecoveryLosesOnlyUnsyncedTail(t *testing.T) {
 	if rs.Applied == 0 {
 		t.Fatal("rotation flushes should have persisted at least one segment")
 	}
-	if rs.Applied > uint64(nbatches*perBatch) {
-		t.Fatalf("recovered %d events, more than the %d ingested", rs.Applied, nbatches*perBatch)
+	if rs.Applied >= uint64(nbatches*perBatch) {
+		t.Fatalf("recovered %d of the %d ingested events: the unsynced tail survived the crash",
+			rs.Applied, nbatches*perBatch)
 	}
 	// The surviving prefix must match a clean replay of exactly that many
 	// batches.
@@ -438,11 +549,13 @@ func flip(t *testing.T, path string, off int64) {
 // TestGracefulDrainFinalizes is the SIGTERM regression: Drain must leave
 // a finalized on-disk state — snapshot covering everything applied,
 // compacted and cleanly closed WAL — such that reopening replays nothing
-// and serves identical state.
+// and serves identical state. A 2,048-event batch is a WAL record of
+// about 24 KiB, so the log spans two 1 MiB segments before the drain, and
+// no snapshot is taken before it.
 func TestGracefulDrainFinalizes(t *testing.T) {
-	const threads, perBatch, nbatches = 8, 64, 30
+	const threads, perBatch, nbatches = 8, 2048, 50
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Sync: wal.SyncNever, WALSegmentBytes: 4096}
+	cfg := Config{Dir: dir, Sync: wal.SyncNever, SnapshotEvery: nbatches*perBatch + 1}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -613,11 +726,13 @@ func TestDurableEvictionIsTotal(t *testing.T) {
 }
 
 // TestCheckpointCompactsWAL: snapshots license compaction — after a
-// checkpoint the log retains at most the active segment.
+// checkpoint the log retains at most the active segment. A 4,096-event
+// batch is a WAL record of about 48 KiB, so 50 batches fill three 1 MiB
+// segments; no snapshot is taken before the explicit one.
 func TestCheckpointCompactsWAL(t *testing.T) {
-	const threads, perBatch, nbatches = 8, 64, 50
+	const threads, perBatch, nbatches = 8, 4096, 50
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Sync: wal.SyncNever, WALSegmentBytes: 2048}
+	cfg := Config{Dir: dir, Sync: wal.SyncNever, SnapshotEvery: nbatches*perBatch + 1}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tlbmap/internal/comm"
+	"tlbmap/internal/mapping"
 	"tlbmap/internal/topology"
 	"tlbmap/internal/vm"
 )
@@ -28,6 +29,19 @@ func (s slowMapper) Map(m *comm.Matrix, machine *topology.Machine) ([]int, error
 		identity[i] = i
 	}
 	return identity, nil
+}
+
+// setMapper replaces the algorithm inside a tenant's online mapper, the
+// way tests install slow and panicking mappers.
+func setMapper(t *testing.T, s *Server, id string, a mapping.Algorithm) {
+	t.Helper()
+	tn, err := s.lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn.mu.Lock()
+	tn.online.SetAlgorithm(a)
+	tn.mu.Unlock()
 }
 
 // sharingEvents produces a batch where adjacent threads share pages, so the
@@ -48,10 +62,11 @@ func sharingEvents(threads, perThread int) []Event {
 // in force.
 func TestQueryDeadlineDegrades(t *testing.T) {
 	const budget = 30 * time.Millisecond
-	s := New(Config{QueryDeadline: budget, Mapper: slowMapper{delay: 400 * time.Millisecond}})
+	s := New(Config{QueryDeadline: budget})
 	if err := s.CreateTenant("a", 4); err != nil {
 		t.Fatal(err)
 	}
+	setMapper(t, s, "a", slowMapper{delay: 400 * time.Millisecond})
 	ev := sharingEvents(4, 16)
 	if err := s.Ingest("a", ev); err != nil {
 		t.Fatal(err)
@@ -88,10 +103,11 @@ func TestQueryDeadlineDegrades(t *testing.T) {
 // the query returns the context error, not a degraded payload — the caller
 // is gone, there is nobody to degrade for.
 func TestQueryCallerCancellation(t *testing.T) {
-	s := New(Config{QueryDeadline: time.Second, Mapper: slowMapper{delay: 400 * time.Millisecond}})
+	s := New(Config{QueryDeadline: time.Second})
 	if err := s.CreateTenant("a", 4); err != nil {
 		t.Fatal(err)
 	}
+	setMapper(t, s, "a", slowMapper{delay: 400 * time.Millisecond})
 	ev := sharingEvents(4, 16)
 	if err := s.Ingest("a", ev); err != nil {
 		t.Fatal(err)
@@ -108,14 +124,11 @@ func TestQueryCallerCancellation(t *testing.T) {
 
 // TestBackpressureBoundedQueue wedges a tenant's applier and keeps
 // ingesting: once the bounded queue fills, Ingest must reject with
-// ErrOverloaded within about EnqueueWait — and the queue must never grow
+// ErrOverloaded within about enqueueWait — and the queue must never grow
 // past its cap, no matter how much the client pushes.
 func TestBackpressureBoundedQueue(t *testing.T) {
-	const (
-		queueCap = 2
-		wait     = 20 * time.Millisecond
-	)
-	s := New(Config{QueueCap: queueCap, EnqueueWait: wait})
+	const queueCap = 2
+	s := New(Config{QueueCap: queueCap})
 	if err := s.CreateTenant("a", 4); err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +165,8 @@ func TestBackpressureBoundedQueue(t *testing.T) {
 		if !errors.Is(err, ErrOverloaded) {
 			t.Fatalf("Ingest into full queue: err = %v, want ErrOverloaded", err)
 		}
-		if elapsed > 20*wait {
-			t.Errorf("overload rejection took %v, want about %v", elapsed, wait)
+		if elapsed > 400*time.Millisecond {
+			t.Errorf("overload rejection took %v, want about %v", elapsed, enqueueWait)
 		}
 		if qlen := len(tn.queue); qlen > queueCap {
 			t.Fatalf("queue grew to %d batches, cap is %d", qlen, queueCap)
@@ -182,7 +195,8 @@ func TestBackpressureBoundedQueue(t *testing.T) {
 // trips the write deadline, the server hangs the connection up, and other
 // connections keep being served.
 func TestBlockedReaderHangsUp(t *testing.T) {
-	s := New(Config{WriteTimeout: 50 * time.Millisecond})
+	s := New(Config{})
+	s.writeTimeout = 50 * time.Millisecond
 	client, server := net.Pipe()
 	defer client.Close()
 	connDone := make(chan struct{})

@@ -261,10 +261,7 @@ func (t *tenant) openDurable(cfg Config) error {
 		return err
 	}
 
-	l, err := wal.Open(filepath.Join(t.dir, "wal"), wal.Options{
-		SegmentBytes: cfg.WALSegmentBytes,
-		Policy:       cfg.Sync,
-	})
+	l, err := wal.Open(filepath.Join(t.dir, "wal"), wal.Options{Policy: cfg.Sync})
 	if err != nil {
 		return err
 	}

@@ -125,10 +125,11 @@ func (panicMapper) Map(*comm.Matrix, *topology.Machine) ([]int, error) {
 // runner on the query path: the caller gets ErrTenantQuarantined (not a
 // crash) and the tenant is poisoned exactly as an applier panic would.
 func TestQueryPanicQuarantinesTenant(t *testing.T) {
-	s := New(Config{Mapper: panicMapper{}})
+	s := New(Config{})
 	if err := s.CreateTenant("a", 4); err != nil {
 		t.Fatal(err)
 	}
+	setMapper(t, s, "a", panicMapper{})
 	ev := sharingEvents(4, 16)
 	if err := s.Ingest("a", ev); err != nil {
 		t.Fatal(err)

@@ -52,32 +52,36 @@ type Options struct {
 	QueryEvery int
 	// Seed derives every connection's deterministic sample stream.
 	Seed int64
-	// Retries is how many additional connect attempts each connection
-	// makes after a failed dial (default 3 with Reconnect set, else 0),
-	// with exponential backoff jittered from the connection's seeded rng —
-	// a reconnecting herd spreads out deterministically.
-	Retries int
-	// Backoff is the base delay before the first retry (default 5ms);
-	// attempt k waits Backoff·2^k scaled by a jitter factor in [0.5, 1.5).
-	Backoff time.Duration
 	// Reconnect makes every connection sequenced — HELLO carries a source
 	// name, E lines carry batch numbers — and injects one deliberate
 	// mid-conversation disconnect at a seeded random batch (sometimes
 	// after the batch was written but before its ack was read: the
 	// lost-ack case). The connection re-dials with backoff, re-HELLOs,
 	// reads the server's acknowledged sequence and resumes, so the run
-	// finishes with every event applied exactly once.
-	Reconnect bool
-	// Pipeline is how many requests each connection keeps in flight
-	// before reading their responses (default 8; 1 = strict
-	// request/response). The protocol is strictly ordered, so responses
-	// are matched FIFO; a pipelined fleet amortizes one write+read
-	// syscall pair over the whole window on both sides of the socket.
-	// Sequenced (Reconnect) sessions always run strict, because resuming
+	// finishes with every event applied exactly once. Sequenced sessions
+	// run strict request/response instead of pipelining, because resuming
 	// a half-acknowledged window would blur what the drop injection is
 	// there to test.
-	Pipeline int
+	Reconnect bool
 }
+
+const (
+	// pipeline is how many requests each unsequenced connection keeps in
+	// flight before reading their responses. The protocol is strictly
+	// ordered, so responses are matched FIFO; a pipelined fleet amortizes
+	// one write+read syscall pair over the whole window on both sides of
+	// the socket.
+	pipeline = 8
+	// dialRetries is how many additional connect attempts a sequenced
+	// (Reconnect) connection makes after a failed dial; other connections
+	// make none. The waits grow exponentially and are jittered from the
+	// connection's seeded rng, so a reconnecting herd spreads out
+	// deterministically.
+	dialRetries = 3
+	// backoff is the base delay before the first retry; attempt k waits
+	// backoff·2^k scaled by a jitter factor in [0.5, 1.5).
+	backoff = 5 * time.Millisecond
+)
 
 func (o Options) withDefaults() Options {
 	if o.Conns <= 0 {
@@ -97,21 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 5 * time.Millisecond
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.Reconnect && o.Retries == 0 {
-		o.Retries = 3
-	}
-	if o.Pipeline <= 0 {
-		o.Pipeline = 8
-	}
-	if o.Reconnect {
-		o.Pipeline = 1
 	}
 	return o
 }
@@ -207,18 +196,23 @@ func Run(o Options) (Report, error) {
 	return r, nil
 }
 
-// dialBackoff dials with up to Retries additional attempts, sleeping an
-// exponentially growing, rng-jittered delay between them. The jitter comes
-// from the connection's own seeded stream, so a herd of clients hitting a
+// dialBackoff dials with up to dialRetries additional attempts on a
+// sequenced connection (none otherwise), sleeping an exponentially
+// growing, rng-jittered delay between them. The jitter comes from the
+// connection's own seeded stream, so a herd of clients hitting a
 // restarting daemon spreads out — and the same seed reproduces the spread.
 func dialBackoff(o Options, rng *randv2.Rand) (net.Conn, error) {
-	delay := o.Backoff
+	budget := 0
+	if o.Reconnect {
+		budget = dialRetries
+	}
+	delay := backoff
 	for attempt := 0; ; attempt++ {
 		conn, err := o.Dial()
 		if err == nil {
 			return conn, nil
 		}
-		if attempt >= o.Retries {
+		if attempt >= budget {
 			return nil, fmt.Errorf("loadgen: dial (attempt %d): %w", attempt+1, err)
 		}
 		time.Sleep(time.Duration(float64(delay) * (0.5 + rng.Float64())))
@@ -386,19 +380,19 @@ func drive(o Options, p *plan) (lat []time.Duration, events, batches, queries, e
 	}
 	skipAcked(acked)
 
-	// Pipelined mode (unsourced sessions): write up to Pipeline request
+	// Pipelined mode (unsourced sessions): write up to pipeline request
 	// lines — E batches plus their cadenced queries — flush once, then
 	// read the window's responses in order (the protocol is strictly
 	// ordered, so matching is FIFO). One write+read syscall pair on each
 	// side of the socket covers the whole window. Query latency is
 	// measured from the window flush — the moment the request actually
 	// hits the socket — to its response arriving.
-	if o.Pipeline > 1 {
+	if !o.Reconnect {
 		type pending struct {
 			size  int // events credited if acked (0 for a query)
 			query bool
 		}
-		window := make([]pending, 0, o.Pipeline+1)
+		window := make([]pending, 0, pipeline+1)
 		drain := func() error {
 			if len(window) == 0 {
 				return nil
@@ -439,7 +433,7 @@ func drive(o Options, p *plan) (lat []time.Duration, events, batches, queries, e
 				}
 				window = append(window, pending{query: true})
 			}
-			if len(window) >= o.Pipeline {
+			if len(window) >= pipeline {
 				if derr := drain(); derr != nil {
 					return lat, events, batches, queries, errs, derr
 				}
@@ -454,6 +448,7 @@ func drive(o Options, p *plan) (lat []time.Duration, events, batches, queries, e
 		return lat, events, batches, queries, errs, nil
 	}
 
+	// Sequenced mode: one request in flight at a time.
 	retries := 0
 	for bi < nbatches {
 		line := lines[bi]
@@ -472,9 +467,6 @@ func drive(o Options, p *plan) (lat []time.Duration, events, batches, queries, e
 		}
 		resp, rerr := roundTrip(line)
 		if rerr != nil {
-			if !o.Reconnect {
-				return lat, events, batches, queries, errs, rerr
-			}
 			// The server went away underneath us: reconnect and resume
 			// from whatever it acknowledged.
 			acked, err := connect()
@@ -489,18 +481,16 @@ func drive(o Options, p *plan) (lat []time.Duration, events, batches, queries, e
 			batches++
 			retries = 0
 		} else {
+			// A rejected sequenced batch (overload) must be resent —
+			// skipping it would leave a permanent sequence gap.
 			errs++
-			if source != "" {
-				// A rejected sequenced batch (overload) must be resent —
-				// skipping it would leave a permanent sequence gap.
-				retries++
-				if retries > 64 {
-					return lat, events, batches, queries, errs,
-						fmt.Errorf("loadgen: batch %d rejected %d times: %s", bi+1, retries, resp)
-				}
-				time.Sleep(time.Duration(float64(o.Backoff) * (0.5 + rng.Float64())))
-				continue
+			retries++
+			if retries > 64 {
+				return lat, events, batches, queries, errs,
+					fmt.Errorf("loadgen: batch %d rejected %d times: %s", bi+1, retries, resp)
 			}
+			time.Sleep(time.Duration(float64(backoff) * (0.5 + rng.Float64())))
+			continue
 		}
 		bi++
 		if o.QueryEvery > 0 && bi%o.QueryEvery == 0 {

@@ -91,10 +91,10 @@ func (s *Server) Serve(l net.Listener) error {
 // directly into a pooled write buffer and flushes only when no further
 // request is already buffered, so a pipelined burst is answered with one
 // write, behind one covering fsync on a durable server (see release).
-// Every flush runs under Config.WriteTimeout: a client that pipelines
-// requests but never reads responses blocks the first full flush, trips
-// the deadline, and is disconnected — per-connection memory stays bounded
-// no matter how the peer behaves.
+// Every flush runs under a 5 s write deadline (defaultWriteTimeout): a
+// client that pipelines requests but never reads responses blocks the
+// first full flush, trips the deadline, and is disconnected —
+// per-connection memory stays bounded no matter how the peer behaves.
 func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	rd := readerPool.Get().(*bufio.Reader)
@@ -180,7 +180,7 @@ func (sess *session) release(resp []byte) bool {
 	if t != nil {
 		err = t.waitDurable(seq)
 	}
-	sess.conn.SetWriteDeadline(time.Now().Add(sess.srv.cfg.WriteTimeout))
+	sess.conn.SetWriteDeadline(time.Now().Add(sess.srv.writeTimeout))
 	if err != nil {
 		sess.w.Reset(sess.conn)
 		resp = appendErr(resp[:0], err)

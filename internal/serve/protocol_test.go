@@ -103,7 +103,7 @@ func TestProtocolErrors(t *testing.T) {
 	c.expectERR("HELLO")          // wrong arity
 	c.expectERR("HELLO app x")    // bad thread count
 	c.expectERR("HELLO app 3")    // not a power of two
-	c.expectERR("HELLO app 4096") // above MaxThreads
+	c.expectERR("HELLO app 4096") // above the 1024-thread cap
 	c.expectOK("HELLO app 4")
 	c.expectERR("HELLO app 8") // same tenant, different threads
 

@@ -34,9 +34,7 @@ import (
 	"time"
 
 	"tlbmap/internal/fault"
-	"tlbmap/internal/mapping"
 	"tlbmap/internal/runner"
-	"tlbmap/internal/tlb"
 	"tlbmap/internal/vm"
 	"tlbmap/internal/wal"
 )
@@ -93,39 +91,16 @@ type Config struct {
 	// batches (default 256). A slow applier fills it and ingestion
 	// degrades to ErrOverloaded instead of growing memory.
 	QueueCap int
-	// EnqueueWait bounds how long Ingest blocks on a full queue before
-	// returning ErrOverloaded (default 10ms).
-	EnqueueWait time.Duration
 	// QueryDeadline is the per-request mapping budget: a query that
 	// exceeds it returns the last placement in force, flagged Degraded
 	// (default 100ms).
 	QueryDeadline time.Duration
-	// MaxThreads caps a tenant's thread count (default 1024). Thread
-	// counts must be powers of two, matching the mappers' contract.
-	MaxThreads int
-	// TLB is the per-thread TLB geometry (default tlb.DefaultConfig, the
-	// paper's 64-entry 4-way unit).
-	TLB tlb.Config
-	// MinConfidence overrides the online mapper's confidence gate
-	// (default mapping.DefaultMinConfidence; negative disables).
-	MinConfidence float64
 	// Faults arms the detector-relevant fault scenarios on the ingest
 	// path: SampleLoss drops events before they charge the matrix (the
 	// refill still happens) and ShootdownStorm flushes random threads'
 	// TLBs. Engine-side scenarios do not apply to the serving path and
 	// are ignored. The zero plan injects nothing.
 	Faults fault.Plan
-	// RecordApplied keeps a per-tenant log of events in applied order,
-	// the replay input of the differential soak tests. Serving
-	// deployments leave it off.
-	RecordApplied bool
-	// Mapper, when non-nil, replaces the size-dispatching Auto algorithm
-	// inside every tenant's online mapper (tests install slow or exact
-	// mappers here).
-	Mapper mapping.Algorithm
-	// WriteTimeout bounds one response write on a connection
-	// (default 5s).
-	WriteTimeout time.Duration
 
 	// Dir, when non-empty, makes every tenant durable: accepted batches
 	// are written to a per-tenant write-ahead log before they are
@@ -136,9 +111,6 @@ type Config struct {
 	// Sync is the WAL sync policy (default wal.SyncAlways: an
 	// acknowledged batch is durable). Only meaningful with Dir set.
 	Sync wal.SyncPolicy
-	// WALSegmentBytes is the per-tenant WAL segment rotation threshold
-	// (default 1 MiB; see wal.Options.SegmentBytes).
-	WALSegmentBytes int
 	// SnapshotEvery is the snapshot cadence in applied events per tenant
 	// (default 4096): after that many events a snapshot is written and
 	// the WAL compacted. Only meaningful with Dir set.
@@ -150,6 +122,17 @@ type Config struct {
 	RecoveryWorkers int
 }
 
+const (
+	// enqueueWait bounds how long Ingest blocks on a full queue before
+	// returning ErrOverloaded.
+	enqueueWait = 10 * time.Millisecond
+	// maxThreads caps a tenant's thread count. Thread counts must be
+	// powers of two, matching the mappers' contract.
+	maxThreads = 1024
+	// defaultWriteTimeout bounds one response write on a connection.
+	defaultWriteTimeout = 5 * time.Second
+)
+
 // withDefaults resolves the zero values.
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -158,23 +141,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 256
 	}
-	if c.EnqueueWait <= 0 {
-		c.EnqueueWait = 10 * time.Millisecond
-	}
 	if c.QueryDeadline <= 0 {
 		c.QueryDeadline = 100 * time.Millisecond
-	}
-	if c.MaxThreads <= 0 {
-		c.MaxThreads = 1024
-	}
-	if c.TLB == (tlb.Config{}) {
-		c.TLB = tlb.DefaultConfig
-	}
-	if c.MinConfidence == 0 {
-		c.MinConfidence = mapping.DefaultMinConfidence
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 5 * time.Second
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 4096
@@ -212,6 +180,8 @@ type Server struct {
 	shards   []*shard
 	draining atomic.Bool
 	wg       sync.WaitGroup // live tenant appliers
+	// writeTimeout is defaultWriteTimeout unless a test shortens it.
+	writeTimeout time.Duration
 
 	queries   atomic.Uint64
 	degraded  atomic.Uint64
@@ -223,7 +193,7 @@ type Server struct {
 // pre-existing on-disk tenants are NOT loaded — use Open for that.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, shards: make([]*shard, cfg.Shards)}
+	s := &Server{cfg: cfg, shards: make([]*shard, cfg.Shards), writeTimeout: defaultWriteTimeout}
 	for i := range s.shards {
 		s.shards[i] = &shard{tenants: make(map[string]*tenant)}
 	}
@@ -311,9 +281,9 @@ func (s *Server) lookup(id string) (*tenant, error) {
 }
 
 // CreateTenant registers a tenant with the given thread count (a power of
-// two up to Config.MaxThreads) and starts its applier. Creating an
-// existing tenant with the same thread count is a no-op, so reconnecting
-// clients can HELLO idempotently.
+// two up to maxThreads, 1024) and starts its applier. Creating an existing
+// tenant with the same thread count is a no-op, so reconnecting clients can
+// HELLO idempotently.
 func (s *Server) CreateTenant(id string, threads int) error {
 	if s.draining.Load() {
 		return ErrDraining
@@ -321,9 +291,9 @@ func (s *Server) CreateTenant(id string, threads int) error {
 	if id == "" {
 		return errors.New("serve: empty tenant id")
 	}
-	if threads <= 0 || threads > s.cfg.MaxThreads || threads&(threads-1) != 0 {
+	if threads <= 0 || threads > maxThreads || threads&(threads-1) != 0 {
 		return fmt.Errorf("serve: tenant %q: thread count %d must be a power of two in [1, %d]",
-			id, threads, s.cfg.MaxThreads)
+			id, threads, maxThreads)
 	}
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -376,7 +346,7 @@ func (s *Server) EvictTenant(id string) error {
 
 // Ingest enqueues a batch of events for a tenant. The batch is copied, so
 // the caller may reuse the slice. Backpressure is bounded and explicit:
-// when the tenant's queue stays full past Config.EnqueueWait the batch is
+// when the tenant's queue stays full past enqueueWait (10 ms) the batch is
 // rejected with ErrOverloaded and counted as dropped — a slow tenant can
 // never grow its queue past its cap.
 func (s *Server) Ingest(tenantID string, events []Event) error {
@@ -477,13 +447,7 @@ func (s *Server) ingest(tenantID, source string, seq uint64, events []Event) (*t
 		return nil, 0, err
 	}
 	if t.wlog != nil {
-		var got uint64
-		var werr error
-		if t.groupCommit {
-			got, werr = t.wlog.AppendBuffered(t.walBuf)
-		} else {
-			got, werr = t.wlog.Append(t.walBuf)
-		}
+		got, werr := t.wlog.AppendBuffered(t.walBuf)
 		if werr != nil || got != b.seq {
 			if werr == nil {
 				werr = fmt.Errorf("serve: wal seq skew: appended %d, reserved %d", got, b.seq)
@@ -538,7 +502,7 @@ func recycleEvents(s []Event) {
 }
 
 // enqueue is the bounded-queue admission step shared by both ingest
-// paths: immediate send, then one EnqueueWait-bounded retry, then
+// paths: immediate send, then one enqueueWait-bounded retry, then
 // ErrOverloaded.
 func (s *Server) enqueue(t *tenant, b batch) error {
 	n := uint64(len(b.events))
@@ -548,7 +512,7 @@ func (s *Server) enqueue(t *tenant, b batch) error {
 		return nil
 	default:
 	}
-	timer := time.NewTimer(s.cfg.EnqueueWait)
+	timer := time.NewTimer(enqueueWait)
 	defer timer.Stop()
 	select {
 	case t.queue <- b:

@@ -98,8 +98,8 @@ func TestQueryReturnsValidPlacement(t *testing.T) {
 }
 
 func TestCreateTenantValidation(t *testing.T) {
-	s := New(Config{MaxThreads: 64})
-	for _, bad := range []int{0, -1, 3, 12, 128} {
+	s := New(Config{})
+	for _, bad := range []int{0, -1, 3, 12, 2 * maxThreads} {
 		if err := s.CreateTenant("x", bad); err == nil {
 			t.Errorf("CreateTenant with %d threads succeeded, want error", bad)
 		}

@@ -29,12 +29,24 @@ func TestConcurrentIngestMatchesReplay(t *testing.T) {
 		batchSize  = 25
 		threadsPer = 8
 	)
-	cfg := Config{Shards: 4, RecordApplied: true}
+	cfg := Config{Shards: 4}
 	s := New(cfg)
+	// logs[ti] is tenant ti's applied-order event log, appended by its
+	// applier under the tenant lock.
+	logs := make([][]Event, tenants)
 	for ti := 0; ti < tenants; ti++ {
-		if err := s.CreateTenant(fmt.Sprintf("t%d", ti), threadsPer); err != nil {
+		id := fmt.Sprintf("t%d", ti)
+		if err := s.CreateTenant(id, threadsPer); err != nil {
 			t.Fatal(err)
 		}
+		tn, err := s.lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := &logs[ti]
+		tn.mu.Lock()
+		tn.applyHook = func(e Event) { *log = append(*log, e) }
+		tn.mu.Unlock()
 	}
 
 	var wg sync.WaitGroup
@@ -93,7 +105,7 @@ func TestConcurrentIngestMatchesReplay(t *testing.T) {
 		if snap.Applied != want || snap.Ingested != want {
 			t.Errorf("%s: applied=%d ingested=%d, want %d", id, snap.Applied, snap.Ingested, want)
 		}
-		log := live.appliedLog()
+		log := logs[ti]
 		if uint64(len(log)) != want {
 			t.Fatalf("%s: applied log has %d events, want %d", id, len(log), want)
 		}
@@ -125,7 +137,8 @@ func TestConcurrentIngestMatchesReplay(t *testing.T) {
 // resume-from-acknowledged-sequence plus "OK dup" retransmit handling make
 // the disconnects invisible to the counters.
 //
-// The injector refuses at most retries dials in total, so no connection
+// The injector refuses at most retries dials in total (loadgen's
+// dialRetries, the budget of each sequenced connection), so no connection
 // can use up its retry budget however the 64 connections' dials
 // interleave: refusing every third dial for the whole run can hand one
 // connection retries+1 failing slots in a row under the race detector.
@@ -133,7 +146,7 @@ func TestLoadgenReconnectResume(t *testing.T) {
 	const (
 		conns         = 64
 		eventsPerConn = 400
-		retries       = 6
+		retries       = 3
 	)
 	s := New(Config{Shards: 8, QueueCap: 512})
 	var wg sync.WaitGroup
@@ -162,8 +175,6 @@ func TestLoadgenReconnectResume(t *testing.T) {
 		QueryEvery:    4,
 		Seed:          99,
 		Reconnect:     true,
-		Retries:       retries,
-		Backoff:       time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,13 +290,4 @@ func TestSoak1000Connections(t *testing.T) {
 			t.Errorf("%s: presence index invalid after soak: %v", id, err)
 		}
 	}
-}
-
-// appliedLog returns a copy of the applied-order event log (empty unless
-// Config.RecordApplied). The soak tests replay it single-threaded and
-// assert the matrices match byte for byte.
-func (t *tenant) appliedLog() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Event(nil), t.log...)
 }

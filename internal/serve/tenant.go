@@ -43,7 +43,6 @@ type batch struct {
 type tenant struct {
 	id      string
 	threads int
-	record  bool
 
 	queue chan batch
 	stop  chan struct{} // closed once by shutdown(); applier exits
@@ -94,7 +93,6 @@ type tenant struct {
 	machine  *topology.Machine
 	online   *mapping.OnlineMapper
 	lastSnap *comm.Matrix // matrix snapshot at the previous query epoch
-	log      []Event      // applied-order event log (Config.RecordApplied)
 	// appliedSeq is the WAL seq of the last fully applied batch and
 	// appliedSources the applied-side view of the dedup map. They are
 	// updated together with the state they describe (same mu critical
@@ -162,7 +160,6 @@ func newTenant(id string, threads int, cfg Config) (*tenant, error) {
 	t := &tenant{
 		id:             id,
 		threads:        threads,
-		record:         cfg.RecordApplied,
 		queue:          make(chan batch, cfg.QueueCap),
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
@@ -177,15 +174,9 @@ func newTenant(id string, threads int, cfg Config) (*tenant, error) {
 	}
 	t.commitCond = sync.NewCond(&t.commitMu)
 	for i := range t.tlbs {
-		t.tlbs[i] = tlb.New(cfg.TLB)
+		t.tlbs[i] = tlb.New(tlb.DefaultConfig)
 	}
 	t.view = comm.NewTLBView(t.tlbs)
-	if cfg.MinConfidence < 0 {
-		t.online.MinConfidence = 0
-	} else {
-		t.online.MinConfidence = cfg.MinConfidence
-	}
-	t.online.SetAlgorithm(cfg.Mapper)
 	t.lastPlacement.Store(t.online.Placement())
 	if r := cfg.Faults.Intensity[fault.SampleLoss]; r > 0 {
 		t.lossRng = newPrng(runner.Seed(seedOf(cfg.Faults), "serve", id, fault.SampleLoss.String()))
@@ -287,9 +278,6 @@ func (t *tenant) applyBatch(b batch) {
 		t.applyOne(e)
 		applied++
 		t.applied.Add(1)
-		if t.record {
-			t.log = append(t.log, e)
-		}
 	}
 	// Only a fully applied batch advances the durable bookkeeping; a
 	// panic above leaves it at the previous batch, and the tenant is

@@ -26,16 +26,16 @@ import (
 
 // Config assembles one simulation run.
 type Config struct {
-	// Machine is the hardware topology (required).
+	// Machine is the hardware topology (required). Its caches have the
+	// Table II geometries (mem.DefaultL1Config, mem.DefaultL2Config).
 	Machine *topology.Machine
-	// L1/L2 cache geometries; zero values select the Table II defaults.
-	L1, L2 mem.CacheConfig
 	// TLB geometry; the zero value selects the paper's 64-entry 4-way TLB.
 	TLB tlb.Config
 	// TLB2 optionally enables a second-level TLB (the x86 STLB; use
 	// tlb.DefaultL2Config for the Nehalem geometry). It is only honoured
 	// in hardware-managed mode: software-managed architectures have a
-	// single TLB level, and the SM detector must see every miss.
+	// single TLB level, and the SM detector must see every miss. Only
+	// the engine-vs-oracle differential (check.Differential) sets it.
 	TLB2 tlb.Config
 	// TLBMode selects software- or hardware-managed TLB refills, which
 	// determines the baseline miss cost (trap vs. page walk).
@@ -68,7 +68,7 @@ type Config struct {
 	MigrationInterval uint64
 	// JitterSeed, when non-zero, enables system-noise modelling: threads
 	// start with small random clock offsets and Compute durations vary by
-	// ±JitterAmp. This reproduces the run-to-run variability of real
+	// ±jitterAmp (5%). This reproduces the run-to-run variability of real
 	// executions (the standard deviations of Table V); 0 gives fully
 	// deterministic runs.
 	//
@@ -79,9 +79,6 @@ type Config struct {
 	// identity — e.g. runner.SeedN(base, rep, benchmark, ...) — never
 	// from a shared RNG consumed in execution order.
 	JitterSeed int64
-	// JitterAmp is the relative amplitude of compute-time noise; zero
-	// selects the default of 0.05 (5%).
-	JitterAmp float64
 	// Checker, when non-nil, arms the runtime invariant-checking layer
 	// (internal/check): the engine reports every access, migration and
 	// the final result, and — if the checker also implements
@@ -104,6 +101,10 @@ type Config struct {
 	// promptly.
 	Interrupt <-chan struct{}
 }
+
+// jitterAmp is the relative amplitude of compute-time noise under
+// Config.JitterSeed.
+const jitterAmp = 0.05
 
 // Result carries everything a run produced.
 type Result struct {
@@ -181,12 +182,6 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 	if err := validatePlacement(placement, n); err != nil {
 		return nil, err
 	}
-	if cfg.L1 == (mem.CacheConfig{}) {
-		cfg.L1 = mem.DefaultL1Config
-	}
-	if cfg.L2 == (mem.CacheConfig{}) {
-		cfg.L2 = mem.DefaultL2Config
-	}
 	if cfg.TLB == (tlb.Config{}) {
 		cfg.TLB = tlb.DefaultConfig
 	}
@@ -199,7 +194,7 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 	// calls per access add up over hundreds of millions of events).
 	_, nullDet := det.(comm.NullDetector)
 
-	system := mem.NewSystem(cfg.Machine, cfg.L1, cfg.L2)
+	system := mem.NewSystem(cfg.Machine, mem.DefaultL1Config, mem.DefaultL2Config)
 	l2cfg := cfg.TLB2
 	if cfg.TLBMode == tlb.SoftwareManaged {
 		l2cfg = tlb.Config{}
@@ -261,10 +256,6 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 	}
 
 	var rng *rand.Rand
-	amp := cfg.JitterAmp
-	if amp == 0 {
-		amp = 0.05
-	}
 	if cfg.JitterSeed != 0 {
 		rng = rand.New(rand.NewSource(cfg.JitterSeed))
 	}
@@ -476,7 +467,7 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 			if ev.Kind == trace.Compute {
 				c := uint64(ev.Addr)
 				if rng != nil {
-					c = uint64(float64(c) * (1 - amp + 2*amp*rng.Float64()))
+					c = uint64(float64(c) * (1 - jitterAmp + 2*jitterAmp*rng.Float64()))
 				}
 				clock += c
 				if clock >= clockBound {

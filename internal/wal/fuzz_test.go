@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// validLogBytes frames the given payloads exactly as Append does and
+// validLogBytes frames the given payloads exactly as AppendBuffered does and
 // returns the raw segment bytes — the honest starting point the fuzzer
 // mutates.
 func validLogBytes(payloads ...[]byte) []byte {
@@ -84,9 +84,9 @@ func FuzzWALRecovery(f *testing.F) {
 			t.Fatalf("Replay after repair: %v", err)
 		}
 		// The repaired log accepts appends past the surviving tail.
-		appended, err := l.Append([]byte("post-repair"))
+		appended, err := l.AppendBuffered([]byte("post-repair"))
 		if err != nil {
-			t.Fatalf("Append after repair: %v", err)
+			t.Fatalf("AppendBuffered after repair: %v", err)
 		}
 		if appended <= prev {
 			t.Fatalf("post-repair append seq %d not past surviving tail %d", appended, prev)

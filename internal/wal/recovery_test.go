@@ -13,14 +13,14 @@ import (
 // order plus each record's payload.
 func buildLog(t *testing.T, dir string, n, segmentBytes int) (paths []string, payloads [][]byte) {
 	t.Helper()
-	l, err := Open(dir, Options{SegmentBytes: segmentBytes})
+	l, err := Open(dir, Options{segmentBytes: segmentBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
 		p := []byte(fmt.Sprintf("payload-%03d-%s", i, strings.Repeat("x", i%7)))
 		payloads = append(payloads, p)
-		if _, err := l.Append(p); err != nil {
+		if _, err := l.AppendBuffered(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestTruncateAtEveryOffset(t *testing.T) {
 	boundaries := []int{0}
 	off := 0
 	for off < len(data) {
-		n, _, _, err := parseRecord(data[off:], 16<<20)
+		n, _, _, err := parseRecord(data[off:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestTruncateAtEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.Append([]byte("continue")); err != nil {
+		if _, err := l.AppendBuffered([]byte("continue")); err != nil {
 			t.Fatalf("cut at byte %d: append after recovery: %v", cut, err)
 		}
 		l.Close()
@@ -174,7 +174,7 @@ func TestByteFlipTruncatesAtFirstBadRecord(t *testing.T) {
 		si := segInfo{path: p, data: data, recsBefore: total, bounds: []int{0}}
 		off := 0
 		for off < len(data) {
-			n, _, _, err := parseRecord(data[off:], 16<<20)
+			n, _, _, err := parseRecord(data[off:])
 			if err != nil {
 				t.Fatal(err)
 			}

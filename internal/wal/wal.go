@@ -15,12 +15,12 @@
 // yield a valid prefix or a clean error.
 //
 // Sync policy is configurable because durability and throughput trade
-// off: SyncAlways fsyncs every append (an acknowledged record survives
-// machine failure), SyncInterval fsyncs on a timer (bounded loss window),
-// SyncNever leaves flushing to segment rotation and Close (a process
-// crash — SIGKILL — still loses nothing that reached the OS, but machine
-// failure may cost the tail). Recovery handles all three identically: it
-// trusts nothing past the first bad byte.
+// off: under SyncAlways the appender calls Sync before it acknowledges (an
+// acknowledged record survives machine failure), SyncInterval fsyncs on a
+// timer (bounded loss window), SyncNever leaves flushing to segment
+// rotation and Close (a process crash — SIGKILL — still loses nothing that
+// reached the OS, but machine failure may cost the tail). Recovery handles
+// all three identically: it trusts nothing past the first bad byte.
 package wal
 
 import (
@@ -41,13 +41,13 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncAlways flushes and fsyncs on every Append: an acknowledged
-	// record survives machine failure. The durable default.
+	// SyncAlways: the appender calls Sync before it acknowledges, so an
+	// acknowledged record survives machine failure. The durable default.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval flushes and fsyncs on a background timer
-	// (Options.Interval): loss after machine failure is bounded by the
-	// interval. Process crashes (SIGKILL) lose only userspace-buffered
-	// bytes since the last flush.
+	// SyncInterval flushes and fsyncs on a background timer every
+	// syncPeriod: loss after machine failure is bounded by the period.
+	// Process crashes (SIGKILL) lose only userspace-buffered bytes since
+	// the last flush.
 	SyncInterval
 	// SyncNever flushes on rotation and Close only. Fastest; a machine
 	// failure may cost the whole active segment's tail.
@@ -81,34 +81,27 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// Options tunes a Log. The zero value selects every default.
+// Options tunes a Log. The zero value selects the durable default.
 type Options struct {
-	// SegmentBytes is the rotation threshold: a segment that reaches it
-	// is flushed, fsynced and closed, and the next record starts a new
-	// one (default 1 MiB).
-	SegmentBytes int
 	// Policy selects the sync policy (default SyncAlways).
 	Policy SyncPolicy
-	// Interval is the SyncInterval flush period (default 100ms).
-	Interval time.Duration
-	// MaxRecordBytes bounds one record's payload; larger length prefixes
-	// are treated as corruption during recovery and rejected at Append
-	// (default 16 MiB).
-	MaxRecordBytes int
+
+	// segmentBytes overrides defaultSegmentBytes. Test-only: wal's
+	// rotation and byte-flip batteries need many small segments.
+	segmentBytes int
 }
 
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 1 << 20
-	}
-	if o.Interval <= 0 {
-		o.Interval = 100 * time.Millisecond
-	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = 16 << 20
-	}
-	return o
-}
+const (
+	// defaultSegmentBytes is the rotation threshold: a segment that
+	// reaches it is flushed, fsynced and closed, and the next record
+	// starts a new one.
+	defaultSegmentBytes = 1 << 20
+	// syncPeriod is the SyncInterval flush period.
+	syncPeriod = 100 * time.Millisecond
+	// maxRecordBytes bounds one record's payload; larger length prefixes
+	// are treated as corruption during recovery and rejected at append.
+	maxRecordBytes = 16 << 20
+)
 
 // Record framing: every record is
 //
@@ -117,7 +110,7 @@ func (o Options) withDefaults() Options {
 //	u64le sequence number
 //	payload bytes
 //
-// Sequence numbers are assigned by Append, strictly increasing. Gaps are
+// Sequence numbers are assigned by AppendBuffered, strictly increasing. Gaps are
 // legal (they arise when a truncated tail is superseded by records already
 // folded into a snapshot), so recovery only requires monotonicity.
 const recordHeader = 4 + 4 + 8
@@ -145,7 +138,7 @@ type segment struct {
 }
 
 // Log is a segmented append-only record log rooted at one directory. It is
-// safe for one appender at a time; Append, Sync, Compact and Close
+// safe for one appender at a time; AppendBuffered, Sync, Compact and Close
 // serialize internally.
 type Log struct {
 	dir  string
@@ -156,7 +149,7 @@ type Log struct {
 	active   *os.File  // current segment file (nil until first append)
 	actInfo  segment
 	buf      []byte // userspace append buffer (flushed per policy)
-	nextSeq  uint64 // seq the next Append will get
+	nextSeq  uint64 // seq the next append will get
 	synced   uint64 // last seq known flushed+fsynced
 	closed   bool
 
@@ -176,7 +169,9 @@ type Log struct {
 // The verdict is recorded in Log.Truncated. New appends continue after the
 // highest surviving sequence number.
 func Open(dir string, opts Options) (*Log, error) {
-	opts = opts.withDefaults()
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = defaultSegmentBytes
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", dir, err)
 	}
@@ -213,7 +208,7 @@ func (l *Log) scan() error {
 	sort.Strings(paths) // %016x names sort numerically
 	prevSeq := uint64(0)
 	for i, path := range paths {
-		seg, bad, err := scanSegment(path, prevSeq, l.opts.MaxRecordBytes)
+		seg, bad, err := scanSegment(path, prevSeq)
 		if err != nil {
 			return err
 		}
@@ -258,7 +253,7 @@ func (l *Log) scan() error {
 // segment info covering the valid prefix plus, when a torn or corrupted
 // record was found, a non-nil bad error describing it (seg.size is then
 // the truncation offset).
-func scanSegment(path string, prevSeq uint64, maxRecord int) (seg segment, bad error, err error) {
+func scanSegment(path string, prevSeq uint64) (seg segment, bad error, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return segment{}, nil, fmt.Errorf("wal: read %s: %w", path, err)
@@ -270,7 +265,7 @@ func scanSegment(path string, prevSeq uint64, maxRecord int) (seg segment, bad e
 	seg = segment{path: path, first: first}
 	off := 0
 	for off < len(data) {
-		n, seq, payload, rerr := parseRecord(data[off:], maxRecord)
+		n, seq, payload, rerr := parseRecord(data[off:])
 		if rerr != nil {
 			return seg, fmt.Errorf("%s at offset %d: %w", filepath.Base(path), off, rerr), nil
 		}
@@ -291,13 +286,13 @@ func scanSegment(path string, prevSeq uint64, maxRecord int) (seg segment, bad e
 // parseRecord decodes one record from the front of data, returning its
 // total length. A short buffer, oversized length or checksum mismatch is
 // an ErrCorrupt-wrapped error.
-func parseRecord(data []byte, maxRecord int) (n int, seq uint64, payload []byte, err error) {
+func parseRecord(data []byte) (n int, seq uint64, payload []byte, err error) {
 	if len(data) < recordHeader {
 		return 0, 0, nil, fmt.Errorf("%w: torn header (%d bytes)", ErrCorrupt, len(data))
 	}
 	plen := int(binary.LittleEndian.Uint32(data[0:4]))
-	if plen > maxRecord {
-		return 0, 0, nil, fmt.Errorf("%w: length %d exceeds record cap %d", ErrCorrupt, plen, maxRecord)
+	if plen > maxRecordBytes {
+		return 0, 0, nil, fmt.Errorf("%w: length %d exceeds record cap %d", ErrCorrupt, plen, maxRecordBytes)
 	}
 	if len(data) < recordHeader+plen {
 		return 0, 0, nil, fmt.Errorf("%w: torn payload (%d of %d bytes)", ErrCorrupt, len(data)-recordHeader, plen)
@@ -341,7 +336,7 @@ func (l *Log) Replay(fn func(seq uint64, payload []byte) error) error {
 		}
 		off := 0
 		for off < len(data) {
-			n, seq, payload, err := parseRecord(data[off:], l.opts.MaxRecordBytes)
+			n, seq, payload, err := parseRecord(data[off:])
 			if err != nil {
 				// scan() validated these bytes at Open and appends are
 				// framed by us, so this indicates concurrent external
@@ -357,30 +352,19 @@ func (l *Log) Replay(fn func(seq uint64, payload []byte) error) error {
 	return nil
 }
 
-// Append adds one record and returns its sequence number. Durability at
-// return time depends on the sync policy: SyncAlways has flushed and
-// fsynced, the others may still hold the record in the userspace buffer.
-func (l *Log) Append(payload []byte) (uint64, error) {
-	return l.append(payload, l.opts.Policy == SyncAlways)
-}
-
-// AppendBuffered adds one record like Append but never applies the sync
-// policy: the bytes reach the userspace buffer (and the OS only on
-// rotation), and making them durable is the caller's job via Sync. Group
-// committers use it to batch many appends under a single fsync while
-// still releasing acks only after that fsync covers them.
+// AppendBuffered adds one record and returns its sequence number. The
+// bytes reach the userspace buffer (and the OS only on rotation, an
+// interval flush or Replay); making them durable is the caller's job via
+// Sync. Group committers batch many appends under a single fsync this way
+// while still releasing acks only after that fsync covers them.
 func (l *Log) AppendBuffered(payload []byte) (uint64, error) {
-	return l.append(payload, false)
-}
-
-func (l *Log) append(payload []byte, syncNow bool) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, ErrClosed
 	}
-	if len(payload) > l.opts.MaxRecordBytes {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds cap %d", len(payload), l.opts.MaxRecordBytes)
+	if len(payload) > maxRecordBytes {
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds cap %d", len(payload), maxRecordBytes)
 	}
 	if l.active == nil {
 		if err := l.openSegmentLocked(); err != nil {
@@ -404,12 +388,7 @@ func (l *Log) append(payload []byte, syncNow bool) (uint64, error) {
 	l.actInfo.nrecords++
 	l.actInfo.size += int64(recordHeader + len(payload))
 
-	if syncNow {
-		if err := l.flushLocked(true); err != nil {
-			return 0, err
-		}
-	}
-	if l.actInfo.size >= int64(l.opts.SegmentBytes) {
+	if l.actInfo.size >= int64(l.opts.segmentBytes) {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
@@ -417,7 +396,7 @@ func (l *Log) append(payload []byte, syncNow bool) (uint64, error) {
 	return seq, nil
 }
 
-// NextSeq returns the sequence number the next Append will be assigned.
+// NextSeq returns the sequence number the next append will be assigned.
 func (l *Log) NextSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -601,7 +580,7 @@ func (l *Log) stopSyncLoop() {
 // syncLoop is the SyncInterval background flusher.
 func (l *Log) syncLoop() {
 	defer close(l.syncDone)
-	t := time.NewTicker(l.opts.Interval)
+	t := time.NewTicker(syncPeriod)
 	defer t.Stop()
 	for {
 		select {

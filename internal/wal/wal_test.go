@@ -32,12 +32,12 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 	want := [][]byte{[]byte("alpha"), []byte(""), []byte("gamma"), bytes.Repeat([]byte{0xAB}, 5000)}
 	for i, p := range want {
-		seq, err := l.Append(p)
+		seq, err := l.AppendBuffered(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if seq != uint64(i+1) {
-			t.Fatalf("Append %d returned seq %d", i, seq)
+			t.Fatalf("AppendBuffered %d returned seq %d", i, seq)
 		}
 	}
 	seqs, payloads := collect(t, l)
@@ -67,25 +67,25 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if len(seqs) != len(want) {
 		t.Fatalf("after reopen: %d records, want %d", len(seqs), len(want))
 	}
-	seq, err := l2.Append([]byte("post"))
+	seq, err := l2.AppendBuffered([]byte("post"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq != uint64(len(want)+1) {
-		t.Errorf("post-reopen Append seq = %d, want %d", seq, len(want)+1)
+		t.Errorf("post-reopen AppendBuffered seq = %d, want %d", seq, len(want)+1)
 	}
 }
 
 func TestRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: every ~2 records rotate.
-	l, err := Open(dir, Options{SegmentBytes: 64})
+	l, err := Open(dir, Options{segmentBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 20
 	for i := 0; i < n; i++ {
-		if _, err := l.Append([]byte(fmt.Sprintf("record-%02d", i))); err != nil {
+		if _, err := l.AppendBuffered([]byte(fmt.Sprintf("record-%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestRotationAndCompaction(t *testing.T) {
 
 	// Reopen post-compaction: the gap before the first surviving segment
 	// is legal.
-	l2, err := Open(dir, Options{SegmentBytes: 64})
+	l2, err := Open(dir, Options{segmentBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,16 +139,16 @@ func TestReserveSkipsSequenceNumbers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("a")); err != nil {
+	if _, err := l.AppendBuffered([]byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	l.Reserve(100)
-	seq, err := l.Append([]byte("b"))
+	seq, err := l.AppendBuffered([]byte("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq != 100 {
-		t.Fatalf("Append after Reserve(100) = seq %d, want 100", seq)
+		t.Fatalf("AppendBuffered after Reserve(100) = seq %d, want 100", seq)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -171,17 +171,14 @@ func TestSyncPolicies(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			l, err := Open(dir, Options{Policy: policy, Interval: 5 * time.Millisecond})
+			l, err := Open(dir, Options{Policy: policy})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 10; i++ {
-				if _, err := l.Append([]byte("payload")); err != nil {
+				if _, err := l.AppendBuffered([]byte("payload")); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if policy == SyncAlways && l.Synced() != 10 {
-				t.Errorf("SyncAlways: Synced() = %d, want 10", l.Synced())
 			}
 			if policy == SyncInterval {
 				deadline := time.Now().Add(2 * time.Second)
@@ -191,6 +188,10 @@ func TestSyncPolicies(t *testing.T) {
 				if l.Synced() != 10 {
 					t.Errorf("SyncInterval: Synced() = %d after interval, want 10", l.Synced())
 				}
+			} else if l.Synced() != 0 {
+				// Under always the appender, not the log, calls Sync
+				// before it acknowledges; under never nothing does.
+				t.Errorf("%v: Synced() = %d before Sync, want 0", policy, l.Synced())
 			}
 			if err := l.Sync(); err != nil {
 				t.Fatal(err)
@@ -207,12 +208,12 @@ func TestSyncPolicies(t *testing.T) {
 
 func TestAbortLosesOnlyUnflushedTail(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Policy: SyncNever, SegmentBytes: 1 << 20})
+	l, err := Open(dir, Options{Policy: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := l.Append([]byte(fmt.Sprintf("pre-%d", i))); err != nil {
+		if _, err := l.AppendBuffered([]byte(fmt.Sprintf("pre-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +221,7 @@ func TestAbortLosesOnlyUnflushedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := l.Append([]byte(fmt.Sprintf("lost-%d", i))); err != nil {
+		if _, err := l.AppendBuffered([]byte(fmt.Sprintf("lost-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,7 +236,7 @@ func TestAbortLosesOnlyUnflushedTail(t *testing.T) {
 	if len(seqs) != 5 || seqs[len(seqs)-1] != 5 {
 		t.Fatalf("after abort: recovered seqs %v, want exactly 1..5", seqs)
 	}
-	if _, err := l2.Append([]byte("x")); err != nil {
+	if _, err := l2.AppendBuffered([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if l2.LastSeq() != 6 {
@@ -248,14 +249,14 @@ func TestClosedLogRejectsOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("x")); err != nil {
+	if _, err := l.AppendBuffered([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("y")); !errors.Is(err, ErrClosed) {
-		t.Errorf("Append on closed log: %v, want ErrClosed", err)
+	if _, err := l.AppendBuffered([]byte("y")); !errors.Is(err, ErrClosed) {
+		t.Errorf("AppendBuffered on closed log: %v, want ErrClosed", err)
 	}
 	if err := l.Sync(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Sync on closed log: %v, want ErrClosed", err)
@@ -269,16 +270,16 @@ func TestClosedLogRejectsOperations(t *testing.T) {
 }
 
 func TestOversizedRecordRejected(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{MaxRecordBytes: 128})
+	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append(make([]byte, 129)); err == nil {
-		t.Fatal("Append accepted a record over MaxRecordBytes")
+	if _, err := l.AppendBuffered(make([]byte, maxRecordBytes+1)); err == nil {
+		t.Fatal("AppendBuffered accepted a record over maxRecordBytes")
 	}
-	if _, err := l.Append(make([]byte, 128)); err != nil {
-		t.Fatalf("Append rejected a record at the cap: %v", err)
+	if _, err := l.AppendBuffered(make([]byte, maxRecordBytes)); err != nil {
+		t.Fatalf("AppendBuffered rejected a record at the cap: %v", err)
 	}
 }
 
