@@ -9,6 +9,15 @@ go vet ./...
 # Formatting gate: gofmt -l prints every file whose layout differs.
 test -z "$(gofmt -l .)"
 go build ./...
+# The cache hit path stays inlined: (*Cache).Lookup sits a few units under
+# the compiler's inlining budget, and one more field read on it would turn
+# every L1 and L2 hit of System.Read and System.Write into a call without
+# any test noticing. Each .Lookup( call site in internal/mem/system.go must
+# be reported as inlined; go build replays these diagnostics from its
+# cache, so the step is cheap.
+LOOKUP_SITES="$(grep -c '\.Lookup(' internal/mem/system.go)"
+LOOKUP_INLINED="$(go build -gcflags=-m ./internal/mem 2>&1 | grep -c 'inlining call to (\*Cache)\.Lookup' || true)"
+test "$LOOKUP_INLINED" -eq "$LOOKUP_SITES"
 # Every function declared in a non-test file is linked into some program
 # (each built with inlining off, so none hides inside a caller) or is
 # allowlisted with a reason in scripts/unlinked/allowlist.txt. A function

@@ -110,8 +110,7 @@ func TestDynamicMigrationSurvivesAllFaults(t *testing.T) {
 
 // Heavy matrix corruption must engage the confidence gate: the controller
 // reports low-confidence decisions instead of chasing the corrupted
-// pattern. (mapping's confidence tests cover the disabled gate,
-// MinConfidence = 0.)
+// pattern. (mapping's confidence tests cover the disabled gate.)
 func TestDynamicMigrationConfidenceGateUnderDecay(t *testing.T) {
 	opt := Options{MigrationInterval: 150_000, Faults: planWith(5, fault.MatrixDecay)}
 	report, err := EvaluateWithDynamicMigration(twoPhaseWorkload, Oracle, opt)

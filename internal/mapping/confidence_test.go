@@ -73,7 +73,7 @@ func TestLowConfidenceHoldsPlacement(t *testing.T) {
 		if !strings.Contains(dec.Reason, "low confidence") {
 			t.Errorf("epoch %d reason = %q, want a low-confidence hold", gated+i, dec.Reason)
 		}
-		if dec.Confidence >= o.MinConfidence {
+		if dec.Confidence >= o.minConfidence {
 			t.Errorf("epoch %d confidence %.3f not below gate", gated+i, dec.Confidence)
 		}
 	}
@@ -120,7 +120,7 @@ func TestLowConfidenceFallsBackToBaseline(t *testing.T) {
 func TestConfidenceRecoversAfterNoise(t *testing.T) {
 	o := NewOnlineMapper(topology.Harpertown(), 0.8)
 	feedNoise(t, o, 13, 10)
-	if o.Confidence() >= o.MinConfidence {
+	if o.Confidence() >= o.minConfidence {
 		t.Fatalf("noise did not drain confidence: %.3f", o.Confidence())
 	}
 	// A stable strong pattern: each epoch is identical, similarity 1.
@@ -132,7 +132,7 @@ func TestConfidenceRecoversAfterNoise(t *testing.T) {
 		}
 		remapped = remapped || dec.Remap
 	}
-	if o.Confidence() < o.MinConfidence {
+	if o.Confidence() < o.minConfidence {
 		t.Errorf("confidence stuck at %.3f after 6 stable epochs", o.Confidence())
 	}
 	if !remapped {
@@ -140,10 +140,10 @@ func TestConfidenceRecoversAfterNoise(t *testing.T) {
 	}
 }
 
-// MinConfidence = 0 disables the gate entirely.
+// minConfidence = 0 disables the gate entirely.
 func TestConfidenceGateDisabled(t *testing.T) {
 	o := NewOnlineMapper(topology.Harpertown(), 0.8)
-	o.MinConfidence = 0
+	o.minConfidence = 0
 	for _, dec := range feedNoise(t, o, 17, 10) {
 		if strings.Contains(dec.Reason, "low confidence") {
 			t.Fatalf("gate fired while disabled: %+v", dec)

@@ -17,7 +17,7 @@ const DefaultMinGain = 2_000
 
 // DefaultMinConfidence is the default graceful-degradation gate: when the
 // controller's confidence in the detected pattern falls below it, remaps
-// are suspended (see OnlineMapper.MinConfidence). 0.5 is chosen so a
+// are suspended (see OnlineMapper.minConfidence). 0.5 is chosen so a
 // single legitimate phase change (one epoch of zero similarity folded
 // into a confident history: 0.5·0 + 0.5·1 = 0.5) still passes the strict
 // < gate, while sustained noise — whose epoch-to-epoch similarity
@@ -59,18 +59,20 @@ type OnlineDecision struct {
 // migration cost — the hysteresis that keeps a naive remapper from
 // thrashing.
 type OnlineMapper struct {
-	// MinGain is the remap hysteresis in mapping-cost units (see
-	// DefaultMinGain). Raise it to make the controller more conservative.
-	MinGain uint64
-	// MinConfidence is the graceful-degradation gate: the controller
+	// minGain is the remap hysteresis in mapping-cost units:
+	// NewOnlineMapper sets DefaultMinGain, and only this package's tests
+	// lower it, to remap eagerly.
+	minGain uint64
+	// minConfidence is the graceful-degradation gate: the controller
 	// keeps an EWMA of the Pearson similarity between consecutive
 	// non-idle epoch matrices (its "confidence" that the detected
 	// pattern is signal, not noise). Below this gate it stops trusting
 	// the matrix — it holds the current placement, or adopts Fallback —
 	// instead of thrashing on a pattern that changes every epoch, which
-	// is exactly what fault-polluted detection looks like. 0 disables
-	// the gate; NewOnlineMapper sets DefaultMinConfidence.
-	MinConfidence float64
+	// is exactly what fault-polluted detection looks like.
+	// NewOnlineMapper sets DefaultMinConfidence; 0 disables the gate,
+	// which only this package's tests do.
+	minConfidence float64
 	// Fallback, when non-nil, is the placement adopted while confidence
 	// is below the gate — typically the OS-scheduler baseline placement,
 	// making "detector too noisy to use" degrade to "what the system
@@ -99,8 +101,8 @@ func NewOnlineMapper(machine *topology.Machine, threshold float64) *OnlineMapper
 		identity[i] = i
 	}
 	return &OnlineMapper{
-		MinGain:       DefaultMinGain,
-		MinConfidence: DefaultMinConfidence,
+		minGain:       DefaultMinGain,
+		minConfidence: DefaultMinConfidence,
 		machine:       machine,
 		mapper:        NewAuto(),
 		tracker:       NewPhaseTracker(threshold),
@@ -167,7 +169,7 @@ func (o *OnlineMapper) Observe(epoch *comm.Matrix) (OnlineDecision, error) {
 	// Graceful degradation: below the confidence gate the epoch matrix
 	// is treated as noise. Adopt the fallback placement if one is
 	// configured and not already in force; otherwise hold still.
-	if o.MinConfidence > 0 && o.confidence < o.MinConfidence {
+	if o.minConfidence > 0 && o.confidence < o.minConfidence {
 		if o.Fallback != nil && countMigrations(o.placement, o.Fallback) > 0 {
 			migrations := countMigrations(o.placement, o.Fallback)
 			o.placement = append([]int(nil), o.Fallback...)
@@ -200,7 +202,7 @@ func (o *OnlineMapper) Observe(epoch *comm.Matrix) (OnlineDecision, error) {
 		return keep, nil
 	}
 	gain := oldCost - newCost
-	if gain < o.MinGain {
+	if gain < o.minGain {
 		keep.Reason = "insufficient gain"
 		return keep, nil
 	}

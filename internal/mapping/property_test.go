@@ -262,7 +262,7 @@ func TestOnlineMapperMaintainsPermutation(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(n) * 104729))
 			om := NewOnlineMapper(machine, 0)
-			om.MinGain = 1 // remap eagerly: stress the migration path
+			om.minGain = 1 // remap eagerly: stress the migration path
 			checkPermutation(t, om.Placement(), n)
 			for epoch := 0; epoch < 40; epoch++ {
 				dec, err := om.Observe(randomMatrix(rng, n))

@@ -15,9 +15,10 @@ func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // OnlineState is the serializable controller state of an OnlineMapper: everything
 // the controller accumulates across epochs, so a recovered instance makes
-// byte-identical decisions from the next epoch on. Tuning knobs (MinGain,
-// MinConfidence, Fallback, machine, algorithm) are configuration, not
-// state — the restoring side reconstructs those.
+// byte-identical decisions from the next epoch on. Configuration is not
+// state: the minGain and minConfidence defaults NewOnlineMapper sets,
+// Fallback, the machine and the algorithm are reconstructed by the
+// restoring side.
 type OnlineState struct {
 	Placement  []int
 	Remaps     int

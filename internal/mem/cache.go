@@ -73,6 +73,9 @@ func (c CacheConfig) Validate() error {
 	if c.Lines()%c.Ways != 0 {
 		return fmt.Errorf("mem: %d lines not divisible by %d ways", c.Lines(), c.Ways)
 	}
+	if c.Ways > blockWays {
+		return fmt.Errorf("mem: %d ways exceed the %d-way block a set is stored in", c.Ways, blockWays)
+	}
 	return nil
 }
 
@@ -90,13 +93,24 @@ var (
 // so the all-ones value can never collide with a resident line.
 const invalidTag = ^uint64(0)
 
-// Residency-entry layout: idx[l] packs the resident line's global way
-// index (plus one, so the zero value means "absent") with its MESI state.
-// wayBits caps a cache at 2^27-1 ways — three orders of magnitude above
-// the largest modelled L2 — and leaves the two bits a MESI state needs.
+// Residency-entry layout: idx[l] packs the resident line's way index with
+// its MESI state. A resident line is never Invalid, so its entry is never
+// 0, and 0 means "absent". wayBits caps a cache at 2^27 way indices —
+// three orders of magnitude above the largest modelled L2 — and leaves the
+// two bits a MESI state needs.
 const (
 	wayBits = 27
 	wayMask = 1<<wayBits - 1
+)
+
+// Way-block geometry: way metadata lives in blocks of blockWays ways, and
+// way index ix sits at blocks[ix>>blockBits][ix&blockMask]. 512 ways
+// (8 KiB) hold a whole Table II L1 in one block, and 64 sets of a Table II
+// L2.
+const (
+	blockBits = 9
+	blockWays = 1 << blockBits
+	blockMask = blockWays - 1
 )
 
 // wayMeta is the per-way replacement metadata: the resident line's number
@@ -109,38 +123,49 @@ type wayMeta struct {
 	lru uint64
 }
 
+// wayBlock is one fixed-size block of way metadata.
+type wayBlock [blockWays]wayMeta
+
 // Cache is a set-associative cache with per-line MESI state and LRU
 // replacement. It is used for both L1s (which only ever hold lines in
 // Shared state because they are write-through) and L2s.
 //
 // The authoritative structure is a line-indexed residency map: idx[l]
-// packs 1 + the global way index of line l with its MESI state, and holds
-// 0 while the line is absent. It is a paged lineTable, so a cache pays
-// for the line ranges it has touched, not for the highest line number it
-// has held. Every lookup-shaped operation — Lookup, Probe, SetState —
-// resolves through idx in O(1), and because the state rides in the same
-// word, a Probe (the snoop path) costs exactly one load. The way arrays
-// remain authoritative for geometry: victim selection on a fill still
-// scans the line's set, which is the only remaining scan in the cache and
-// runs once per fill rather than once per access.
+// packs the way index of line l with its MESI state, and holds 0 while the
+// line is absent. It is a paged lineTable, so a cache pays for the line
+// ranges it has touched, not for the highest line number it has held.
+// Every lookup-shaped operation — Lookup, Probe, SetState — resolves
+// through idx in O(1), and because the state rides in the same word, a
+// Probe (the snoop path) costs exactly one load. The way blocks remain
+// authoritative for geometry: victim selection on a fill still scans the
+// line's set, which is the only remaining scan in the cache and runs once
+// per fill rather than once per access.
 //
-// Set storage is allocated lazily, one set on its first fill: building a
-// paper-configuration 6 MiB L2 would otherwise zero megabytes per
-// simulation run, and short runs touch a small fraction of the sets. The
-// lazy path is invisible to callers — a never-touched set behaves exactly
-// like a set full of Invalid entries.
+// Way storage is allocated lazily and never moves. A set is placed on its
+// first fill, after the sets filled before it, in a fixed-size block of
+// blockWays ways; a block is allocated when the first set placed in it is
+// filled, and a set that does not fit in what is left of the current block
+// starts the next one, so no set straddles two blocks. Building a
+// paper-configuration 6 MiB L2 eagerly would zero megabytes per simulation
+// run, short runs touch a small fraction of the sets, and a growable array
+// would copy every way filled so far each time it regrew. Because blocks
+// are never moved, copied or grown, a way index — in idx, or returned by
+// lookupWay — stays valid for as long as its line is resident. The lazy
+// path is invisible to callers — a never-touched set behaves exactly like
+// a set full of Invalid entries.
 type Cache struct {
 	cfg   CacheConfig
 	nsets uint64
 	mask  uint64 // nsets-1 when nsets is a power of two
 	pow2  bool
 	ways  int
-	// setBlock[s] is 1 + the block index of set s inside meta, or 0 while
-	// the set is unallocated. Blocks are ways long.
+	// setBlock[s] is 1 + the way index of set s's first way, or 0 while
+	// the set is unallocated.
 	setBlock []int32
-	meta     []wayMeta
-	// idx[l] = (1 + global way index) | state<<wayBits for resident line
-	// l, 0 when absent.
+	blocks   []*wayBlock
+	next     int // way index at which the next set would be placed
+	// idx[l] = way index | state<<wayBits for resident line l, 0 when
+	// absent.
 	idx   lineTable[int32]
 	clock uint64
 }
@@ -151,10 +176,13 @@ func NewCache(cfg CacheConfig) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.Lines() > wayMask {
+	nsets := uint64(cfg.Sets())
+	perBlock := uint64(blockWays / cfg.Ways)
+	nblocks := (nsets + perBlock - 1) / perBlock
+	// Way indices run to the end of the last block, padding included.
+	if nblocks*blockWays > wayMask+1 {
 		panic(fmt.Sprintf("mem: %d lines overflow the packed residency entry", cfg.Lines()))
 	}
-	nsets := uint64(cfg.Sets())
 	return &Cache{
 		cfg:      cfg,
 		nsets:    nsets,
@@ -162,6 +190,7 @@ func NewCache(cfg CacheConfig) *Cache {
 		pow2:     nsets&(nsets-1) == 0,
 		ways:     cfg.Ways,
 		setBlock: make([]int32, nsets),
+		blocks:   make([]*wayBlock, 0, nblocks),
 	}
 }
 
@@ -172,26 +201,52 @@ func (c *Cache) setOf(l Line) int {
 	return int(uint64(l) % c.nsets)
 }
 
-// allocSet materializes a set's backing storage on its first fill and
-// returns the block offset.
+// allocSet places set s on its first fill and returns the way index of its
+// first way.
 func (c *Cache) allocSet(s int) int {
-	off := len(c.meta)
-	for i := 0; i < c.ways; i++ {
-		c.meta = append(c.meta, wayMeta{tag: invalidTag})
+	off := c.next
+	if off&blockMask+c.ways > blockWays {
+		off = off&^blockMask + blockWays
 	}
-	c.setBlock[s] = int32(off/c.ways) + 1
+	if off&blockMask == 0 {
+		b := new(wayBlock)
+		for i := range b {
+			b[i].tag = invalidTag
+		}
+		c.blocks = append(c.blocks, b)
+	}
+	c.next = off + c.ways
+	c.setBlock[s] = int32(off) + 1
 	return off
 }
 
-// entry returns line l's packed residency entry, or 0 when absent.
-func (c *Cache) entry(l Line) int32 { return c.idx.get(uint64(l)) }
+// setWays returns the ways of the set whose first way index is off.
+func (c *Cache) setWays(off int) []wayMeta {
+	return c.blocks[off>>blockBits][off&blockMask : off&blockMask+c.ways]
+}
+
+// entry returns line l's packed residency entry, or 0 when absent. It is
+// lineTable.get written out on the concrete table: the generic method
+// passes a dictionary that costs Lookup its place under the compiler's
+// inlining budget.
+func (c *Cache) entry(l Line) int32 {
+	if dir := c.idx.dir; uint64(l)>>chunkBits < uint64(len(dir)) {
+		if p := dir[uint64(l)>>chunkBits]; p != nil {
+			return p[uint64(l)&chunkMask]
+		}
+	}
+	return 0
+}
 
 // Lookup returns the MESI state of a line, refreshing its LRU position on a
-// hit. Invalid means a miss.
+// hit. Invalid means a miss. It is the hit path of every access, so it
+// must stay within the compiler's inlining budget (ci.sh checks that it is
+// inlined at each of System's call sites); it therefore reads the block
+// index and the offset straight from the entry.
 func (c *Cache) Lookup(l Line) MESIState {
 	c.clock++
 	if e := c.entry(l); e != 0 {
-		c.meta[e&wayMask-1].lru = c.clock
+		c.blocks[e&wayMask>>blockBits][e&blockMask].lru = c.clock
 		return MESIState(e >> wayBits)
 	}
 	return Invalid
@@ -201,13 +256,13 @@ func (c *Cache) Lookup(l Line) MESIState {
 // state (-1 on a miss). The write path reads and then transitions the
 // state of the same way; returning the index lets it use setStateAt
 // instead of a second residency resolution. Clock advance and LRU refresh
-// are identical to Lookup. The index is valid until the next fill into
-// this cache.
-func (c *Cache) lookupWay(l Line) (int, MESIState) {
+// are identical to Lookup. The index is valid while the line stays
+// resident.
+func (c *Cache) lookupWay(l Line) (int32, MESIState) {
 	c.clock++
 	if e := c.entry(l); e != 0 {
-		ix := int(e&wayMask) - 1
-		c.meta[ix].lru = c.clock
+		ix := e & wayMask
+		c.blocks[ix>>blockBits][ix&blockMask].lru = c.clock
 		return ix, MESIState(e >> wayBits)
 	}
 	return -1, Invalid
@@ -228,27 +283,27 @@ func (c *Cache) SetState(l Line, s MESIState) bool {
 	if p == nil || *p == 0 {
 		return false
 	}
-	e := *p
+	ix := *p & wayMask
 	if s == Invalid {
-		c.meta[e&wayMask-1].tag = invalidTag
+		c.blocks[ix>>blockBits][ix&blockMask].tag = invalidTag
 		*p = 0
 		return true
 	}
-	*p = e&wayMask | int32(s)<<wayBits
+	*p = ix | int32(s)<<wayBits
 	return true
 }
 
 // setStateAt transitions the state of the resident line l known to sit at
-// global way index ix (from lookupWay). It skips the residency resolution
+// way index ix (from lookupWay). It skips the residency resolution
 // SetState would run; transitioning to Invalid retires the way.
-func (c *Cache) setStateAt(ix int, l Line, s MESIState) {
+func (c *Cache) setStateAt(ix int32, l Line, s MESIState) {
 	p := c.idx.at(uint64(l)) // non-nil: l is resident
 	if s == Invalid {
-		c.meta[ix].tag = invalidTag
+		c.blocks[ix>>blockBits][ix&blockMask].tag = invalidTag
 		*p = 0
 		return
 	}
-	*p = int32(ix+1) | int32(s)<<wayBits
+	*p = ix | int32(s)<<wayBits
 }
 
 // Eviction describes a line displaced by a fill.
@@ -270,19 +325,17 @@ func (c *Cache) insertNew(l Line, s MESIState) Eviction {
 // fill installs a non-resident line, choosing a victim way.
 func (c *Cache) fill(l Line, s MESIState) Eviction {
 	si := c.setOf(l)
-	var off int
-	if b := c.setBlock[si]; b == 0 {
+	off := int(c.setBlock[si]) - 1
+	if off < 0 {
 		off = c.allocSet(si)
-	} else {
-		off = int(b-1) * c.ways
 	}
+	set := c.setWays(off)
 	// One pass picks the victim: the first empty way wins outright,
 	// otherwise the first way with the minimal LRU stamp.
-	end := off + c.ways
-	victim, free := off, false
+	victim, free := 0, false
 	minLru := ^uint64(0)
-	for w := off; w < end; w++ {
-		m := &c.meta[w]
+	for w := range set {
+		m := &set[w]
 		if m.tag == invalidTag {
 			victim, free = w, true
 			break
@@ -293,13 +346,13 @@ func (c *Cache) fill(l Line, s MESIState) Eviction {
 	}
 	var ev Eviction
 	if !free {
-		old := c.meta[victim].tag
+		old := set[victim].tag
 		p := c.idx.at(old) // non-nil: old is resident
 		ev = Eviction{Line: Line(old), State: MESIState(*p >> wayBits), Happened: true}
 		*p = 0
 	}
-	c.meta[victim] = wayMeta{tag: uint64(l), lru: c.clock}
-	*c.idx.slot(uint64(l)) = int32(victim+1) | int32(s)<<wayBits
+	set[victim] = wayMeta{tag: uint64(l), lru: c.clock}
+	*c.idx.slot(uint64(l)) = int32(off+victim) | int32(s)<<wayBits
 	return ev
 }
 
@@ -307,15 +360,13 @@ func (c *Cache) fill(l Line, s MESIState) Eviction {
 // not perturb LRU state; the invariant checkers use it to compare a cache's
 // actual contents against their shadow model.
 func (c *Cache) Each(f func(Line, MESIState)) {
-	for s := range c.setBlock {
-		b := c.setBlock[s]
+	for _, b := range c.setBlock {
 		if b == 0 {
 			continue
 		}
-		off := int(b-1) * c.ways
-		for i := 0; i < c.ways; i++ {
-			if t := c.meta[off+i].tag; t != invalidTag {
-				f(Line(t), MESIState(c.idx.get(t)>>wayBits))
+		for _, m := range c.setWays(int(b - 1)) {
+			if m.tag != invalidTag {
+				f(Line(m.tag), MESIState(c.idx.get(m.tag)>>wayBits))
 			}
 		}
 	}
@@ -324,9 +375,11 @@ func (c *Cache) Each(f func(Line, MESIState)) {
 // Len returns the number of resident lines.
 func (c *Cache) Len() int {
 	n := 0
-	for i := range c.meta {
-		if c.meta[i].tag != invalidTag {
-			n++
+	for _, b := range c.blocks {
+		for i := range b {
+			if b[i].tag != invalidTag {
+				n++
+			}
 		}
 	}
 	return n

@@ -24,6 +24,7 @@ func TestCacheConfigValidate(t *testing.T) {
 		{SizeBytes: 100, Ways: 4},     // not line multiple
 		{SizeBytes: 64 * 10, Ways: 3}, // lines not divisible by ways
 		{SizeBytes: -64, Ways: 1},
+		{SizeBytes: 2 * blockWays * LineSize, Ways: 2 * blockWays}, // a set wider than a block
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -186,7 +187,7 @@ func (c *Cache) Insert(l Line, s MESIState) Eviction {
 	c.clock++
 	if p := c.idx.at(uint64(l)); p != nil && *p != 0 {
 		ix := *p & wayMask
-		c.meta[ix-1].lru = c.clock
+		c.blocks[ix>>blockBits][ix&blockMask].lru = c.clock
 		*p = ix | int32(s)<<wayBits
 		return Eviction{}
 	}
@@ -195,10 +196,12 @@ func (c *Cache) Insert(l Line, s MESIState) Eviction {
 
 // Flush invalidates every line without write-backs (test helper).
 func (c *Cache) Flush() {
-	for i := range c.meta {
-		if t := c.meta[i].tag; t != invalidTag {
-			*c.idx.at(t) = 0
-			c.meta[i].tag = invalidTag
+	for _, b := range c.blocks {
+		for i := range b {
+			if t := b[i].tag; t != invalidTag {
+				*c.idx.at(t) = 0
+				b[i].tag = invalidTag
+			}
 		}
 	}
 }

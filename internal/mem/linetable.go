@@ -34,8 +34,9 @@ func (t *lineTable[V]) at(k uint64) *V {
 }
 
 // get returns k's value, or 0 when k was never written. It repeats at's
-// lookup instead of calling it, which keeps Cache.Lookup within the
-// compiler's inlining budget.
+// lookup instead of calling it, which keeps its inlining cost low at the
+// directory reads; Cache.entry repeats it once more on the concrete
+// residency table.
 func (t *lineTable[V]) get(k uint64) V {
 	if dir := t.dir; k>>chunkBits < uint64(len(dir)) {
 		if p := dir[k>>chunkBits]; p != nil {
