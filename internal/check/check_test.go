@@ -30,7 +30,7 @@ func testEnv() sim.CheckEnv {
 		Machine:   m,
 		AS:        vm.NewAddressSpace(),
 		System:    mem.NewSystem(m, mem.DefaultL1Config, mem.DefaultL2Config),
-		TLB:       func(core int) *tlb.TLB { return tlbs[core] },
+		TLBs:      tlbs,
 		View:      comm.NewTLBView(tlbs),
 		Placement: placement,
 	}
@@ -157,7 +157,7 @@ func TestOracleCatchesServeWithoutCopy(t *testing.T) {
 func TestTLBCatchesBogusEntry(t *testing.T) {
 	s := newTestSuite()
 	// Hand-plant a TLB entry for a page the VM layer never allocated.
-	s.env.TLB(4).Insert(vm.Translation{Page: vm.Page(0xdead), Frame: vm.Frame(7)})
+	s.env.TLBs[4].Insert(vm.Translation{Page: vm.Page(0xdead), Frame: vm.Frame(7)})
 	if err := s.CheckNow(); err == nil {
 		t.Fatal("CheckNow accepted a TLB entry for an unallocated page")
 	}
@@ -174,7 +174,7 @@ func TestTLBCatchesWrongFrame(t *testing.T) {
 	s := NewSuite()
 	s.Begin(env)
 	// Correct page, wrong frame: a stale entry surviving a remap.
-	env.TLB(1).Insert(vm.Translation{Page: tr.Page, Frame: tr.Frame + 1})
+	env.TLBs[1].Insert(vm.Translation{Page: tr.Page, Frame: tr.Frame + 1})
 	if err := s.CheckNow(); err == nil {
 		t.Fatal("CheckNow accepted a TLB entry with the wrong frame")
 	}
@@ -201,7 +201,7 @@ func TestTLBCatchesMiswiredPresenceIndex(t *testing.T) {
 	for c := range reversed {
 		reversed[c] = tlbs[n-1-c]
 	}
-	env.TLB = func(core int) *tlb.TLB { return tlbs[core] }
+	env.TLBs = tlbs
 	// Slot c of the index is core n-1-c's TLB instead of core c's.
 	env.View = comm.NewTLBView(reversed)
 	tr, err := env.AS.Translate(env.AS.Alloc(4096))
@@ -302,7 +302,7 @@ func TestDifferentialMechanisms(t *testing.T) {
 			t.Run(mech+"/"+string(p), func(t *testing.T) {
 				t.Parallel()
 				rep, err := Differential(DiffConfig{
-					Seed: 7, Pattern: p, Mechanism: mech, STLB: mech == "HM",
+					Seed: 7, Pattern: p, Mechanism: mech,
 				})
 				if err != nil {
 					t.Fatalf("violations: %v", rep.Violations)

@@ -93,10 +93,9 @@ func (c *conserveChecker) finish(res *sim.Result) {
 	}
 
 	// Structural cross-check: the TLB hardware's own statistics must agree
-	// with the access count (first-level lookups happen once per access).
+	// with the access count (each access looks its core's TLB up once).
 	var tlbL uint64
-	for core := 0; core < c.s.env.Machine.NumCores(); core++ {
-		t := c.s.env.TLB(core)
+	for _, t := range c.s.env.TLBs {
 		tlbL += t.Hits() + t.Misses()
 	}
 	if tlbL != res.Accesses {

@@ -56,9 +56,6 @@ type DiffConfig struct {
 	// the timing and the TLB-view traffic but must never change what
 	// values loads observe.
 	Mechanism string
-	// STLB adds the Nehalem second-level TLB (hardware-managed runs
-	// only), covering the two-level refill path.
-	STLB bool
 	// Faults, when non-empty, arms the fault-injection layer on the run:
 	// the adversarial workload executes under injected TLB shootdowns,
 	// migration flushes, dropped scans, lost samples, preemption bursts
@@ -122,9 +119,6 @@ func Differential(cfg DiffConfig) (*DiffReport, error) {
 	inj := fault.New(cfg.Faults, n)
 	simCfg.Perturber = inj.Perturber()
 	simCfg.Detector = inj.WrapDetector(det)
-	if cfg.STLB && simCfg.TLBMode == tlb.HardwareManaged {
-		simCfg.TLB2 = tlb.DefaultL2Config
-	}
 	if cfg.Pattern == MigrationChurn || cfg.Pattern == Mixed {
 		mig := rand.New(rand.NewSource(cfg.Seed ^ 0x6d696772)) // "migr"
 		simCfg.MigrationInterval = 20_000

@@ -36,7 +36,6 @@ func FuzzEngineVsOracleFaults(f *testing.F) {
 			cfg.Mechanism = "SM"
 		case 2:
 			cfg.Mechanism = "HM"
-			cfg.STLB = seed%2 == 0
 		}
 		switch abs(topo) % 3 {
 		case 1:

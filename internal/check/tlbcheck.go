@@ -91,8 +91,7 @@ func (t *tlbChecker) checkView() {
 // sweep re-validates every resident TLB entry on every core against the
 // page table, plus the detector view.
 func (t *tlbChecker) sweep() {
-	for c := 0; c < t.env.Machine.NumCores(); c++ {
-		tl := t.env.TLB(c)
+	for c, tl := range t.env.TLBs {
 		for _, p := range tl.ResidentPages() {
 			frame, ok := tl.Peek(p)
 			if !ok {
@@ -128,8 +127,8 @@ func (t *tlbChecker) checkPresence() {
 		t.s.reportf("tlb", "presence index diverged from TLB contents: %v", err)
 		return
 	}
-	for c := 0; c < t.env.Machine.NumCores(); c++ {
-		for _, p := range t.env.TLB(c).ResidentPages() {
+	for c, tl := range t.env.TLBs {
+		for _, p := range tl.ResidentPages() {
 			if m := ix.Holders(p); m == nil || m[c>>6]&(1<<(uint(c)&63)) == 0 {
 				t.s.reportf("tlb", "presence index slot %d lacks page %#x, which core %d's TLB holds",
 					c, uint64(p), c)

@@ -39,11 +39,11 @@ func (c *envTLBs) OnAccess(int, int, trace.Event, vm.Frame) error { return nil }
 func (c *envTLBs) OnMigration(uint64, []int) error                { return nil }
 func (c *envTLBs) Finish(*sim.Result) error                       { return nil }
 
-// byThread returns the first-level TLB each thread currently runs on.
+// byThread returns the TLB of the core each thread currently runs on.
 func (c *envTLBs) byThread() []*tlb.TLB {
 	out := make([]*tlb.TLB, len(c.env.Placement))
 	for th, core := range c.env.Placement {
-		out[th] = c.env.TLB(core)
+		out[th] = c.env.TLBs[core]
 	}
 	return out
 }

@@ -57,7 +57,7 @@ func reprCells() []reprCell {
 			seed++
 			addDiff(fmt.Sprintf("%s/%s", mech, machine.Name), check.DiffConfig{
 				Seed: seed, Pattern: check.Mixed, Machine: machine,
-				Ops: 250, Mechanism: mech, STLB: mech == "HM",
+				Ops: 250, Mechanism: mech,
 			})
 		}
 	}

@@ -30,9 +30,9 @@ import (
 type Kind int
 
 const (
-	// ShootdownStorm flushes random cores' full TLB hierarchies
-	// mid-epoch, modelling bursts of OS-initiated TLB shootdowns
-	// (munmap/mprotect IPIs) that empty the window the detectors read.
+	// ShootdownStorm flushes random cores' TLBs mid-epoch, modelling
+	// bursts of OS-initiated TLB shootdowns (munmap/mprotect IPIs) that
+	// empty the window the detectors read.
 	ShootdownStorm Kind = iota
 	// MigrationFlush flushes the destination core's TLB when a thread
 	// migrates, modelling context switches on architectures without

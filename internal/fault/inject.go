@@ -151,7 +151,7 @@ func (inj *Injection) OnQuantum(now uint64, thread int, events int) uint64 {
 			if rng.Float64() < p {
 				inj.stats.Shootdowns++
 				for i, k := 0, 1+rng.Intn(3); i < k; i++ {
-					inj.env.FlushTLB(rng.Intn(inj.n))
+					inj.env.TLBs[rng.Intn(inj.n)].Flush()
 				}
 			}
 		}
@@ -181,7 +181,7 @@ func (inj *Injection) OnMigration(now uint64, moved []int) {
 	for _, th := range moved {
 		if rng.Float64() < inj.plan.Intensity[MigrationFlush] {
 			inj.stats.MigrationFlushes++
-			inj.env.FlushTLB(inj.env.Placement[th])
+			inj.env.TLBs[inj.env.Placement[th]].Flush()
 		}
 	}
 }

@@ -47,19 +47,16 @@ type CheckEnv struct {
 	AS *vm.AddressSpace
 	// System is the memory hierarchy.
 	System *mem.System
-	// TLB returns the first-level TLB physically attached to a core.
-	TLB func(core int) *tlb.TLB
-	// FlushTLB empties the full TLB hierarchy (L1 and, when present,
-	// STLB) physically attached to a core. Flushing is architecturally
+	// TLBs holds the TLB physically attached to each core, indexed by
+	// core. Checkers only read them. Flushing one is architecturally
 	// legal at any point — it models shootdowns and context-switch
-	// flushes — so this is the perturbation surface handed to the
-	// fault-injection layer; checkers normally only read.
-	FlushTLB func(core int)
+	// flushes — so the fault-injection layer calls Flush on them.
+	TLBs []*tlb.TLB
 	// View is the detector-facing TLB view: the presence index whose slot
-	// c is TLB(c), and the slot -> thread table. It must always mirror the
-	// physical TLBs: View.ThreadOf[Placement[t]] == t, and the index must
-	// equal a from-scratch recomputation over the TLB contents. The zero
-	// view (no index) marks a null-detector run.
+	// c is TLBs[c], and the slot -> thread table. It must always mirror
+	// the physical TLBs: View.ThreadOf[Placement[t]] == t, and the index
+	// must equal a from-scratch recomputation over the TLB contents. The
+	// zero view (no index) marks a null-detector run.
 	View comm.TLBView
 	// Placement is the live thread -> core permutation.
 	Placement []int

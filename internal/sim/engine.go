@@ -29,14 +29,9 @@ type Config struct {
 	// Machine is the hardware topology (required). Its caches have the
 	// Table II geometries (mem.DefaultL1Config, mem.DefaultL2Config).
 	Machine *topology.Machine
-	// TLB geometry; the zero value selects the paper's 64-entry 4-way TLB.
+	// TLB geometry of every core's single TLB; the zero value selects the
+	// paper's 64-entry 4-way TLB.
 	TLB tlb.Config
-	// TLB2 optionally enables a second-level TLB (the x86 STLB; use
-	// tlb.DefaultL2Config for the Nehalem geometry). It is only honoured
-	// in hardware-managed mode: software-managed architectures have a
-	// single TLB level, and the SM detector must see every miss. Only
-	// the engine-vs-oracle differential (check.Differential) sets it.
-	TLB2 tlb.Config
 	// TLBMode selects software- or hardware-managed TLB refills, which
 	// determines the baseline miss cost (trap vs. page walk).
 	TLBMode tlb.Management
@@ -195,37 +190,28 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 	_, nullDet := det.(comm.NullDetector)
 
 	system := mem.NewSystem(cfg.Machine, mem.DefaultL1Config, mem.DefaultL2Config)
-	l2cfg := cfg.TLB2
-	if cfg.TLBMode == tlb.SoftwareManaged {
-		l2cfg = tlb.Config{}
-	}
-	hier := make([]*tlb.Hierarchy, n) // indexed by core
-	for c := 0; c < n; c++ {
-		hier[c] = tlb.NewHierarchy(cfg.TLB, l2cfg)
+	tlbs := make([]*tlb.TLB, n) // indexed by core
+	for c := range tlbs {
+		tlbs[c] = tlb.New(cfg.TLB)
 	}
 
 	// Detectors read the TLBs through a presence index over every core's
-	// first-level TLB (the level detection reads; the optional second
-	// level only changes miss costs on hardware-managed machines). Slot c
-	// is core c's TLB, and the view's slot -> thread table makes detector
-	// matrices come out indexed by thread; a migration rewrites the table.
-	// The TLBs maintain the index through every Insert, Invalidate and
-	// Flush, the fault layer's shootdowns included. Null-detector runs
-	// build no index and pay nothing on the insert path.
-	var tlbs comm.TLBView
+	// TLB. Slot c is core c's TLB, and the view's slot -> thread table
+	// makes detector matrices come out indexed by thread; a migration
+	// rewrites the table. The TLBs maintain the index through every
+	// Insert, Invalidate and Flush, the fault layer's shootdowns included.
+	// Null-detector runs build no index and pay nothing on the insert
+	// path.
+	var view comm.TLBView
 	if !nullDet {
-		l1 := make([]*tlb.TLB, n)
-		for c := range l1 {
-			l1[c] = hier[c].L1()
-		}
-		tlbs = comm.NewTLBView(l1)
+		view = comm.NewTLBView(tlbs)
 	}
 	rebuildView := func() {
-		if tlbs.Index == nil {
+		if view.Index == nil {
 			return
 		}
 		for t, c := range placement {
-			tlbs.ThreadOf[c] = int32(t)
+			view.ThreadOf[c] = int32(t)
 		}
 	}
 	rebuildView()
@@ -239,9 +225,8 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 		Machine:         cfg.Machine,
 		AS:              as,
 		System:          system,
-		TLB:             func(core int) *tlb.TLB { return hier[core].L1() },
-		FlushTLB:        func(core int) { hier[core].Flush() },
-		View:            tlbs,
+		TLBs:            tlbs,
+		View:            view,
 		Placement:       placement,
 		SoftwareManaged: cfg.TLBMode == tlb.SoftwareManaged,
 	}
@@ -303,12 +288,8 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 	// refill fetches the next batch for thread i (starting it on first use).
 	refill := func(i int) {
 		st := &states[i]
-		if !st.started {
-			st.started = true
-			st.batch = team.Start(i)
-		} else {
-			st.batch = team.Resume(i)
-		}
+		st.started = true
+		st.batch = team.Resume(i)
 		st.idx = 0
 	}
 
@@ -378,7 +359,7 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 		// thread's key — exactly the window over which re-running peek
 		// would return i again — so the heap is touched once per span
 		// instead of once per event, and the per-thread lookups (core,
-		// TLB hierarchy, counter bank) are hoisted out of the event loop.
+		// TLB, counter bank) are hoisted out of the event loop.
 		// The resulting global event order is identical to per-event
 		// selection (TestHeapSchedulerMatchesLinear pins it to a frozen
 		// linear-scan oracle). The bound shifts with uniform clock
@@ -400,7 +381,7 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 		}
 		removed := false
 		core := placement[i]
-		h := hier[core]
+		tl := tlbs[core]
 		ctr := system.Counters(core)
 		// The three per-event mutable fields live in locals for the span
 		// (registers instead of stores through st); boundaries that leave
@@ -526,7 +507,7 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 						// state, finish this event, then end the span.
 						migrated = true
 						core = placement[i]
-						h = hier[core]
+						tl = tlbs[core]
 						ctr = system.Counters(core)
 						clock = st.clock // this thread may have been charged MigrationCost
 					}
@@ -541,7 +522,7 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 			// shifts its keys (addAll) — and the span bound shifts by
 			// the same amount.
 			if scanDet {
-				if scanCost := det.MaybeScan(clock, tlbs); scanCost > 0 {
+				if scanCost := det.MaybeScan(clock, view); scanCost > 0 {
 					detectionCycles += scanCost
 					// The uniform charge below hits states[i] too: sync the
 					// hoisted clock first, reload it after.
@@ -563,25 +544,21 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 
 			accesses++
 
-			// Address translation through the TLB hierarchy of the
-			// thread's current core.
+			// Address translation through the TLB of the thread's
+			// current core.
 			page := ev.Addr.Page()
-			frame, where := h.Lookup(page)
+			frame, hit := tl.Lookup(page)
 			// The TLBHits/TLBMisses counter banks are not touched here:
 			// the TLBs keep the same statistics themselves, so the banks
 			// are settled once from the hardware counts at result
 			// assembly instead of once per access.
-			switch where {
-			case tlb.HitL1:
+			if hit {
 				clock++ // TLB access overlaps with L1 pipeline; 1 cycle
-			case tlb.HitL2:
-				// STLB hit: cheap refill, invisible to the OS (and hence
-				// to the detectors).
-				clock += tlb.STLBCost
-			default: // full miss: walk (HM) or trap (SM)
+			} else {
+				// Miss: walk (HM) or trap (SM).
 				clock += missCost
 				if !nullDet {
-					if smCost := det.OnTLBMiss(i, page, tlbs); smCost > 0 {
+					if smCost := det.OnTLBMiss(i, page, view); smCost > 0 {
 						clock += smCost
 						detectionCycles += smCost
 						detCtr[i] += smCost
@@ -593,7 +570,7 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 					return nil, fmt.Errorf("sim: thread %d: %w", i, err)
 				}
 				frame = tr.Frame
-				h.Insert(tr)
+				tl.Insert(tr)
 				if placed != nil && !placed.test(uint64(tr.Frame)) {
 					system.PlaceFrame(uint64(tr.Frame), cfg.PageNode(tr.Page))
 					placed.set(uint64(tr.Frame))
@@ -645,23 +622,14 @@ func Run(cfg Config, as *vm.AddressSpace, team *trace.Team) (res *Result, err er
 		}
 		bank := system.Counters(core)
 		bank.Add(metrics.DetectionCycles, detCtr[i])
-		// Settle the TLB counter banks from the hardware statistics: the
-		// engine counts a hit for an access resolved at either TLB level
-		// and a miss only when every level missed, which is exactly
-		// l1.hits + hierarchy.l2Hits and hierarchy.l2Misses (or l1.misses
-		// on single-level hierarchies).
-		bank.Add(metrics.TLBHits, hier[core].L1().Hits()+hier[core].L2Hits())
-		if hier[core].HasL2() {
-			bank.Add(metrics.TLBMisses, hier[core].L2Misses())
-		} else {
-			bank.Add(metrics.TLBMisses, hier[core].L1().Misses())
-		}
+		// Settle the TLB counter banks from the hardware statistics.
+		// tlbs is indexed by CORE; i is a thread index.
+		tl := tlbs[core]
+		bank.Add(metrics.TLBHits, tl.Hits())
+		bank.Add(metrics.TLBMisses, tl.Misses())
 		res.PerCore[core] = bank.Snapshot()
-		// hier is indexed by CORE; i is a thread index. (The totals were
-		// right even with hier[i] because placement is a permutation, but
-		// each iteration must read the TLB of thread i's own core.)
-		tlbLookups += hier[core].L1().Hits() + hier[core].L1().Misses()
-		tlbMisses += hier[core].L1().Misses()
+		tlbLookups += tl.Hits() + tl.Misses()
+		tlbMisses += tl.Misses()
 	}
 	res.Counters = system.TotalCounters()
 	if tlbLookups > 0 {

@@ -28,8 +28,8 @@ var ErrInterrupted = errors.New("sim: run interrupted")
 // loop.
 type Perturber interface {
 	// Begin fires once before the first event with the same live
-	// environment a Checker receives. env.FlushTLB is the perturbation
-	// surface: it empties the full TLB hierarchy of a core.
+	// environment a Checker receives. Flushing env.TLBs[core] is the
+	// perturbation surface: it empties that core's TLB.
 	Begin(env CheckEnv)
 	// OnQuantum fires each time a thread exhausts one trace batch (at
 	// most trace.DefaultQuantum events), with the thread, the global

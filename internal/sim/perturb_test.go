@@ -27,7 +27,7 @@ func (p *recordingPerturber) OnQuantum(now uint64, thread int, events int) uint6
 	for e := 0; e < events; e++ {
 		p.events++
 		if p.flushEvery > 0 && p.events%p.flushEvery == 0 {
-			p.env.FlushTLB(p.env.Placement[thread])
+			p.env.TLBs[p.env.Placement[thread]].Flush()
 		}
 		if p.stallEvery > 0 && p.events%p.stallEvery == 0 {
 			stall += p.stallCycles
@@ -50,7 +50,7 @@ func strideProgram(arr *trace.F64) trace.Program {
 }
 
 // The perturber's quantum hook must account for every trace event and its
-// env must carry a working FlushTLB: flushed entries force extra TLB
+// env must carry flushable TLBs: flushed entries force extra TLB
 // misses relative to a clean run, while accesses and final memory
 // behaviour stay intact.
 func TestPerturberSeesEventsAndFlushes(t *testing.T) {

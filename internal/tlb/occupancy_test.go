@@ -10,7 +10,7 @@ import (
 // countSet recomputes a set's occupancy from the entries, the slow way.
 func countSet(t *TLB, set int) int {
 	n := 0
-	for _, e := range t.sets[set] {
+	for _, e := range t.set(set) {
 		if e.valid {
 			n++
 		}

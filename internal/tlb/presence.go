@@ -87,11 +87,9 @@ func (ix *PresenceIndex) Attach(t *TLB) int {
 	ix.owners = append(ix.owners, t)
 	t.pidx = ix
 	t.pslot = int32(slot)
-	for s := range t.sets {
-		for _, e := range t.sets[s] {
-			if e.valid {
-				ix.add(t.pslot, e.page)
-			}
+	for _, e := range t.flat {
+		if e.valid {
+			ix.add(t.pslot, e.page)
 		}
 	}
 	return slot

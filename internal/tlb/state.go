@@ -90,7 +90,7 @@ func DecodeState(data []byte) (*TLB, []byte, error) {
 	// Rebuild the incremental occupancy counts and sanity-check the
 	// invariant decode cannot express directly: one slot per page per set.
 	for s := 0; s < cfg.Sets(); s++ {
-		set := t.sets[s]
+		set := t.set(s)
 		n := int16(0)
 		for i := range set {
 			if !set[i].valid {

@@ -76,13 +76,10 @@ type entry struct {
 // TLB is not safe for concurrent use; the engine serializes accesses.
 type TLB struct {
 	cfg Config
-	// flat holds all entries contiguously, ways per set; sets are windows
-	// into it. The hot paths (Lookup, Insert, Peek) index flat
-	// directly — one offset multiply instead of loading a slice header
-	// per access.
+	// flat holds all entries contiguously, ways per set: set s is
+	// flat[s*ways : (s+1)*ways].
 	flat  []entry
 	ways  int
-	sets  [][]entry // [set][way], views over flat (iteration paths)
 	clock uint64
 
 	// nsets caches cfg.Sets(); mask is nsets-1 when nsets is a power of
@@ -123,17 +120,11 @@ func New(cfg Config) *TLB {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sets := make([][]entry, cfg.Sets())
-	flat := make([]entry, cfg.Entries)
-	for i, backing := 0, flat; i < len(sets); i++ {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
 	nsets := uint64(cfg.Sets())
 	return &TLB{
 		cfg:    cfg,
-		flat:   flat,
+		flat:   make([]entry, cfg.Entries),
 		ways:   cfg.Ways,
-		sets:   sets,
 		nsets:  nsets,
 		mask:   nsets - 1,
 		pow2:   nsets&(nsets-1) == 0,
@@ -239,12 +230,16 @@ func (t *TLB) Peek(p vm.Page) (vm.Frame, bool) {
 	return 0, false
 }
 
+// set returns the entries of set s.
+func (t *TLB) set(s int) []entry { return t.flat[s*t.ways : (s+1)*t.ways] }
+
 // Flush invalidates every entry (e.g. on a context switch without ASIDs).
 func (t *TLB) Flush() {
-	for s, set := range t.sets {
-		if t.setLen[s] == 0 {
+	for s, n := range t.setLen {
+		if n == 0 {
 			continue
 		}
+		set := t.set(s)
 		for i := range set {
 			if set[i].valid {
 				t.idx[set[i].page] = 0
@@ -263,7 +258,7 @@ func (t *TLB) PagesInSet(set int, dst []vm.Page) []vm.Page {
 	if t.setLen[set] == 0 {
 		return dst
 	}
-	for _, e := range t.sets[set] {
+	for _, e := range t.set(set) {
 		if e.valid {
 			dst = append(dst, e.page)
 		}
@@ -275,7 +270,7 @@ func (t *TLB) PagesInSet(set int, dst []vm.Page) []vm.Page {
 // by the fully-associative scan path.
 func (t *TLB) ResidentPages() []vm.Page {
 	out := make([]vm.Page, 0, t.cfg.Entries)
-	for s := range t.sets {
+	for s := range t.setLen {
 		out = t.PagesInSet(s, out)
 	}
 	return out

@@ -46,7 +46,6 @@ func BuildHierarchy(name string, levels []LevelSpec) *Machine {
 	depth := len(levels) + 1 // + the implicit core level
 	m := &Machine{
 		Name:     name,
-		coreNode: make([]*Node, total),
 		kinds:    make([]Level, depth),
 		domain:   make([][]int32, depth-1),
 		levelLat: make([]uint64, depth),
@@ -103,25 +102,6 @@ func BuildHierarchy(name string, levels []LevelSpec) *Machine {
 			m.numa[c] = -1
 		}
 	}
-
-	// The explicit tree, for String.
-	var grow func(d, id int) *Node
-	grow = func(d, id int) *Node {
-		n := &Node{Level: m.kinds[d], ID: id}
-		if d == 0 {
-			n.cores = []int{id}
-			m.coreNode[id] = n
-			return n
-		}
-		fanout := levels[d-1].Fanout
-		for k := 0; k < fanout; k++ {
-			child := grow(d-1, id*fanout+k)
-			n.Children = append(n.Children, child)
-			n.cores = append(n.cores, child.cores...)
-		}
-		return n
-	}
-	m.root = grow(depth-1, 0)
 	return m
 }
 

@@ -94,9 +94,13 @@ func TestHierarchyShapes(t *testing.T) {
 					t.Fatalf("L2Domain(%d) = %d, want %d", c, m.L2Domain(c), c/tc.widths[1])
 				}
 			}
-			// Leaf count through the explicit tree must agree too.
-			if got := len(m.GroupSizes()); got == 0 {
-				t.Fatalf("GroupSizes came back empty")
+			// The branching factors multiply out to the core count.
+			sizes, cores := m.GroupSizes(), 1
+			for _, s := range sizes {
+				cores *= s
+			}
+			if len(sizes) != tc.depth-1 || cores != tc.cores {
+				t.Fatalf("GroupSizes = %v, want %d levels covering %d cores", sizes, tc.depth-1, tc.cores)
 			}
 		})
 	}

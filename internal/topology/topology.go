@@ -9,10 +9,7 @@
 // L2-sharing core pairs, the second round groups pairs onto chips.
 package topology
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Level identifies one layer of the sharing hierarchy, from the individual
 // core up to the whole machine.
@@ -47,16 +44,7 @@ func (l Level) String() string {
 	}
 }
 
-// Node is one vertex of the topology tree. Leaves are cores; inner nodes
-// are sharing domains (an L2 cache, a chip, a NUMA node, the machine).
-type Node struct {
-	Level    Level
-	ID       int // index among nodes of the same level
-	Children []*Node
-	cores    []int // core IDs under this node, in order
-}
-
-// Machine is a fully built topology tree with fast distance queries.
+// Machine is a built topology with fast distance queries.
 //
 // Internally a machine is a regular tree of arbitrary depth: kinds lists
 // the level kind at each depth (kinds[0] is always LevelCore, the last
@@ -68,9 +56,6 @@ type Node struct {
 // hierarchy — answers distance queries through the same code path.
 type Machine struct {
 	Name string
-	root *Node
-	// coreNode[i] is the leaf for core i.
-	coreNode []*Node
 	// kinds[d] is the level kind at depth d, innermost first.
 	kinds []Level
 	// domain[d][core] is the depth-d ancestor ID of core, for
@@ -89,7 +74,7 @@ type Machine struct {
 }
 
 // NumCores returns the number of cores in the machine.
-func (m *Machine) NumCores() int { return len(m.coreNode) }
+func (m *Machine) NumCores() int { return len(m.l2Domain) }
 
 // L2Domain returns the ID of the L2 sharing domain that core belongs to,
 // or -1 if the topology has no shared L2 level.
@@ -142,21 +127,6 @@ func (m *Machine) DomainAt(depth, core int) int {
 		return 0
 	}
 	return int(m.domain[depth][core])
-}
-
-// String renders the tree for debugging.
-func (m *Machine) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (%d cores)\n", m.Name, m.NumCores())
-	var walk func(n *Node, depth int)
-	walk = func(n *Node, depth int) {
-		fmt.Fprintf(&b, "%s%s %d: cores %v\n", strings.Repeat("  ", depth), n.Level, n.ID, n.cores)
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(m.root, 0)
-	return b.String()
 }
 
 // Harpertown builds the topology of Figure 3: two chips, four cores per

@@ -85,25 +85,29 @@ func TestGroupSizes(t *testing.T) {
 	}
 }
 
+// TestRootCoversAllCores: every core sits in the one root domain, no two
+// cores are further apart than the root's latency, and the root's children
+// are two chips of four cores each.
 func TestRootCoversAllCores(t *testing.T) {
 	m := Harpertown()
-	cores := m.root.Cores()
-	if len(cores) != 8 {
-		t.Fatalf("root covers %d cores", len(cores))
+	root := len(m.kinds) - 1
+	perChip := map[int]int{}
+	for c := 0; c < m.NumCores(); c++ {
+		if got := m.DomainAt(root, c); got != 0 {
+			t.Errorf("core %d: root domain %d", c, got)
+		}
+		for b := 0; b < m.NumCores(); b++ {
+			if m.Latency(c, b) > m.levelLat[root] {
+				t.Errorf("Latency(%d,%d) = %d exceeds the root's %d", c, b, m.Latency(c, b), m.levelLat[root])
+			}
+		}
+		perChip[m.DomainAt(root-1, c)]++
 	}
-	for i, c := range cores {
-		if c != i {
-			t.Errorf("root cores[%d] = %d", i, c)
-		}
+	if m.kinds[root-1] != LevelChip {
+		t.Errorf("root child level = %v", m.kinds[root-1])
 	}
-	// Children of the root are chips with 4 cores each.
-	for _, chip := range m.root.Children {
-		if chip.Level != LevelChip {
-			t.Errorf("root child level = %v", chip.Level)
-		}
-		if len(chip.Cores()) != 4 {
-			t.Errorf("chip has %d cores", len(chip.Cores()))
-		}
+	if len(perChip) != 2 || perChip[0] != 4 || perChip[1] != 4 {
+		t.Errorf("cores per chip = %v, want 4 on each of chips 0 and 1", perChip)
 	}
 }
 
@@ -148,12 +152,19 @@ func TestBuildPanicsOnInvalidSpec(t *testing.T) {
 	Build("bad", Spec{Chips: 0, L2PerChip: 1, CoresPerL2: 1})
 }
 
+// TestString checks the names a Harpertown machine is reported under: its
+// own, and those of the levels core 0 shares with cores 0, 1, 2 and 4.
 func TestString(t *testing.T) {
-	s := Harpertown().String()
-	for _, want := range []string{"harpertown-2s", "chip", "L2", "core"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("String() missing %q:\n%s", want, s)
-		}
+	m := Harpertown()
+	if m.Name != "harpertown-2s" {
+		t.Errorf("Name = %q", m.Name)
+	}
+	var names []string
+	for _, b := range []int{0, 1, 2, 4} {
+		names = append(names, m.CommonLevel(0, b).String())
+	}
+	if got, want := strings.Join(names, " "), "core L2 chip machine"; got != want {
+		t.Errorf("levels = %q, want %q", got, want)
 	}
 }
 
@@ -177,23 +188,13 @@ func (m *Machine) CommonLevel(a, b int) Level {
 // domains share a chip, and so on. For Harpertown this is [2, 2, 2]
 // (2 cores per L2, 2 L2s per chip, 2 chips per machine).
 func (m *Machine) GroupSizes() []int {
+	n := m.NumCores()
 	var sizes []int
-	n := m.root
-	for len(n.Children) > 0 {
-		sizes = append(sizes, len(n.Children))
-		n = n.Children[0]
-	}
-	// sizes currently lists branching factors from the root down; the
-	// mapper wants them leaf-up.
-	for i, j := 0, len(sizes)-1; i < j; i, j = i+1, j-1 {
-		sizes[i], sizes[j] = sizes[j], sizes[i]
+	below := n // domains one depth down: at depth 0, one per core
+	for d := 1; d < len(m.kinds); d++ {
+		domains := m.DomainAt(d, n-1) + 1
+		sizes = append(sizes, below/domains)
+		below = domains
 	}
 	return sizes
-}
-
-// Cores returns the IDs of all cores in this subtree, in ascending order.
-func (n *Node) Cores() []int {
-	out := make([]int, len(n.cores))
-	copy(out, n.cores)
-	return out
 }

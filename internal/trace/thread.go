@@ -228,10 +228,6 @@ func (tm *Team) Close() {
 	tm.exited.Wait()
 }
 
-// Start releases thread i for the first time and returns its first batch.
-// Identical to Resume; the separate name documents engine start-up.
-func (tm *Team) Start(i int) Batch { return tm.Resume(i) }
-
 // SPMD builds a team running the same body on every thread, the common
 // OpenMP-style single-program-multiple-data case.
 func SPMD(n int, body Program, quantum int) *Team {

@@ -15,7 +15,6 @@ func drainBatches(t *testing.T, team *Team) [][]Batch {
 	t.Helper()
 	n := len(team.Threads)
 	out := make([][]Batch, n)
-	started := make([]bool, n)
 	parked := make([]bool, n)
 	done := make([]bool, n)
 	for alive, rounds := n, 0; alive > 0; rounds++ {
@@ -28,13 +27,7 @@ func drainBatches(t *testing.T, team *Team) [][]Batch {
 				continue
 			}
 			ran = true
-			var b Batch
-			if started[i] {
-				b = team.Resume(i)
-			} else {
-				started[i] = true
-				b = team.Start(i)
-			}
+			b := team.Resume(i)
 			out[i] = append(out[i], Batch{
 				Events:  append([]Event(nil), b.Events...),
 				Barrier: b.Barrier,
@@ -220,7 +213,7 @@ func TestQuantumFlush(t *testing.T) {
 		}
 	}}, q)
 	// First batch must contain exactly q events.
-	b := team.Start(0)
+	b := team.Resume(0)
 	if len(b.Events) != q || b.Done || b.Barrier {
 		t.Fatalf("first batch: %d events done=%v barrier=%v", len(b.Events), b.Done, b.Barrier)
 	}
@@ -240,7 +233,7 @@ func TestBarrierBatchFlag(t *testing.T) {
 		th.Barrier()
 		th.Load(2)
 	}}, 16)
-	b := team.Start(0)
+	b := team.Resume(0)
 	if !b.Barrier || len(b.Events) != 1 {
 		t.Fatalf("barrier batch: %+v", b)
 	}
@@ -433,7 +426,7 @@ func TestCloseUnwindsParkedThreads(t *testing.T) {
 		},
 		func(th *Thread) { t.Error("thread 1 ran after Close") },
 	}, 0)
-	if b := team.Start(0); !b.Barrier {
+	if b := team.Resume(0); !b.Barrier {
 		t.Fatalf("first batch %+v, want the barrier", b)
 	}
 	team.Close()
@@ -453,6 +446,6 @@ func BenchmarkTeamHandoff(b *testing.B) {
 		}
 	}}, 1)
 	b.ResetTimer()
-	for bt := team.Start(0); !bt.Done; bt = team.Resume(0) {
+	for bt := team.Resume(0); !bt.Done; bt = team.Resume(0) {
 	}
 }
