@@ -118,12 +118,15 @@ wait "$CRASH_PID" || true
 timeout 60 "$CRASH_BIN" -verify-recovery -dir "$CRASH_DIR" | grep -q 'recovery OK'
 rm -rf "$CRASH_DIR" "$CRASH_BIN"
 
-# Scale smoke: one 256-core cell of the manycore scale study end-to-end
-# through the CLI — hierarchical topology generation, SM detection with
-# 256 threads into a 256×256 matrix and the multilevel mapper all on the
-# real path. timeout turns a scalability regression (a
-# quadratic path sneaking back in) into a failure instead of a hang.
-timeout 300 go run ./cmd/experiments -exp scale -class S -bench CG -cores 256 -mappers multilevel,auto >/dev/null
+# Scale smoke: a 256-core and a 512-core cell of the manycore scale study
+# end-to-end through the CLI — hierarchical topology generation, SM
+# detection with 256 and 512 threads into full matrices and the multilevel
+# mapper all on the real path. The 512-core machine has 128 L2 domains, so
+# its detection run takes the memory hierarchy's coherence paths past one
+# 64-domain word of the sharing directory. timeout turns a scalability
+# regression (a quadratic path sneaking back in) into a failure instead of
+# a hang.
+timeout 300 go run ./cmd/experiments -exp scale -class S -bench CG -cores 256,512 -mappers multilevel,auto >/dev/null
 
 # Fuzz smoke: run the differential fuzz targets briefly on top of their
 # committed corpora. Full fuzzing is manual (go test -fuzz ...).

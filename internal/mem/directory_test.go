@@ -1,113 +1,184 @@
 package mem
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
+	"tlbmap/internal/metrics"
 	"tlbmap/internal/topology"
 )
 
-// TestDirectoryMatchesBroadcast replays a random Read/Write mix through two
-// identically-configured Systems — one with the sharing directories active,
-// one forced onto the original probe-every-domain broadcast loops — and
-// requires identical latencies per operation, identical counters, identical
-// cache contents and an identical front-side-bus schedule. The directories
-// are an index over the snoop paths, never a semantic change. Lines are
-// drawn from three bands: one inside the first chunk of the paged tables,
-// and two that straddle a chunk boundary with untouched chunks between
-// them, so chunk allocation and the chunk hop are on the checked path.
+// coherenceGolden holds one SHA-256 per streamMachines entry: the digest
+// of the seeded Read/Write stream below, replayed with every sharing
+// directory and geometry table switched off, so the System probed every
+// L2 domain and every L1 of a domain on each snoop and asked the topology
+// for every hop's latency. The digests were recorded from those
+// probe-every-domain loops and checked against the directory paths on
+// every machine before the loops were deleted. The file has no update
+// path; a digest change is a behaviour change.
+const coherenceGolden = "testdata/coherence_stream.golden"
+
+// streamMachines lists the machines the stream runs on: the paper's
+// Harpertown, the NUMA extension, Manycore(256) (64 L2 domains, one mask
+// word), Manycore(512) (128 domains, two words) and a machine whose 80
+// domains fill one word and part of a second.
+func streamMachines() []struct {
+	name string
+	m    *topology.Machine
+} {
+	return []struct {
+		name string
+		m    *topology.Machine
+	}{
+		{"harpertown", topology.Harpertown()},
+		{"numa", topology.NUMA(2)},
+		{"manycore-256", topology.Manycore(256)},
+		{"manycore-512", topology.Manycore(512)},
+		{"multisocket-80", topology.MultiSocket(2, 40, 2)},
+	}
+}
+
+// streamBands are the line ranges the stream draws from: one inside the
+// first chunk of the paged tables, and two that straddle a chunk boundary
+// with untouched chunks between them, so chunk allocation and the chunk
+// hop are on the checked path.
+var streamBands = [][2]int{{0, 96}, {1000, 1101}, {1<<20 + 1000, 1<<20 + 1101}}
+
+// newStreamSystem builds m's hierarchy with caches small enough that the
+// stream evicts, refills and shares lines across many domains at once.
+func newStreamSystem(m *topology.Machine) *System {
+	return NewSystem(m,
+		CacheConfig{SizeBytes: 8 * LineSize, Ways: 2, Latency: 2},
+		CacheConfig{SizeBytes: 32 * LineSize, Ways: 4, Latency: 8})
+}
+
+// coherenceStream replays 30,000 seeded Reads and Writes (one in three a
+// Write) from random cores over streamBands and returns the SHA-256 of
+// every operation's latency and the front-side bus's free cycle after it,
+// then every core's counters, then every L1's and every L2's contents in
+// line order. validate, when non-nil, is called every 1,000 operations and
+// at the end.
+func coherenceStream(t *testing.T, s *System, validate func(*System) error) string {
+	t.Helper()
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	ncores := len(s.l1s)
+	rng := rand.New(rand.NewSource(11))
+	for op := 0; op < 30000; op++ {
+		core := rng.Intn(ncores)
+		b := streamBands[rng.Intn(len(streamBands))]
+		l := Line(b[0] + rng.Intn(b[1]-b[0]))
+		now := uint64(op) * 3
+		if rng.Intn(3) == 0 {
+			put(s.Write(core, l, now))
+		} else {
+			put(s.Read(core, l, now))
+		}
+		put(s.fsbFreeAt)
+		if validate != nil && op%1000 == 0 {
+			if err := validate(s); err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+		}
+	}
+	if validate != nil {
+		if err := validate(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c := 0; c < ncores; c++ {
+		for e := 0; e < metrics.NumEvents; e++ {
+			put(s.Counters(c).Get(metrics.Event(e)))
+		}
+	}
+	for _, caches := range [][]*Cache{s.l1s, s.l2s} {
+		for _, c := range caches {
+			var lines []Line
+			c.Each(func(l Line, _ MESIState) { lines = append(lines, l) })
+			slices.Sort(lines)
+			put(uint64(len(lines)))
+			for _, l := range lines {
+				put(uint64(l))
+				put(uint64(c.Probe(l)))
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestDirectoryMatchesBroadcast replays the seeded stream on every machine
+// of streamMachines and requires the digest recorded from the broadcast
+// loops: the sharing directory is an index over the snoop paths, never a
+// semantic change, so per-operation latencies, the front-side-bus
+// schedule, the counters and the cache contents all match. The directory
+// is cross-checked against the cache contents every 1,000 operations, and
+// no directory chunk may be allocated outside the drawn bands.
 func TestDirectoryMatchesBroadcast(t *testing.T) {
-	l1 := CacheConfig{SizeBytes: 8 * LineSize, Ways: 2, Latency: 2}
-	l2 := CacheConfig{SizeBytes: 32 * LineSize, Ways: 4, Latency: 8}
-	bands := [][2]int{{0, 96}, {1000, 1101}, {1<<20 + 1000, 1<<20 + 1101}}
+	want := readCoherenceGolden(t)
+	machines := streamMachines()
+	if len(want) != len(machines) {
+		t.Fatalf("%s has %d machines, the test defines %d", coherenceGolden, len(want), len(machines))
+	}
 	touched := map[int]bool{}
-	for _, b := range bands {
+	for _, b := range streamBands {
 		for c := b[0] >> chunkBits; c <= (b[1]-1)>>chunkBits; c++ {
 			touched[c] = true
 		}
 	}
-	for _, mk := range []struct {
-		name string
-		m    func() *topology.Machine
-	}{
-		{"harpertown", topology.Harpertown},
-		{"numa", func() *topology.Machine { return topology.NUMA(2) }},
-	} {
+	for _, mk := range machines {
 		t.Run(mk.name, func(t *testing.T) {
-			dir := NewSystem(mk.m(), l1, l2)
-			ref := NewSystem(mk.m(), l1, l2)
-			ref.l2dirOK, ref.l1dirOK = false, false
-			if !dir.l2dirOK || !dir.l1dirOK {
-				t.Fatal("directories not active on a small machine")
+			s := newStreamSystem(mk.m)
+			if got := coherenceStream(t, s, validateDirectories); got != want[mk.name] {
+				t.Fatalf("digest %s, golden %s", got, want[mk.name])
 			}
-			ncores := mk.m().NumCores()
-			rng := rand.New(rand.NewSource(11))
-			for op := 0; op < 30000; op++ {
-				core := rng.Intn(ncores)
-				b := bands[rng.Intn(len(bands))]
-				l := Line(b[0] + rng.Intn(b[1]-b[0]))
-				now := uint64(op) * 3
-				if rng.Intn(3) == 0 {
-					got, want := dir.Write(core, l, now), ref.Write(core, l, now)
-					if got != want {
-						t.Fatalf("op %d: Write(%d, %d) latency %d, want %d", op, core, l, got, want)
-					}
-				} else {
-					got, want := dir.Read(core, l, now), ref.Read(core, l, now)
-					if got != want {
-						t.Fatalf("op %d: Read(%d, %d) latency %d, want %d", op, core, l, got, want)
-					}
-				}
-				if dir.fsbFreeAt != ref.fsbFreeAt {
-					t.Fatalf("op %d: fsbFreeAt %d, want %d", op, dir.fsbFreeAt, ref.fsbFreeAt)
-				}
-				if op%1000 == 0 {
-					if err := validateDirectories(dir); err != nil {
-						t.Fatalf("op %d: %v", op, err)
-					}
-				}
-			}
-			if err := validateDirectories(dir); err != nil {
-				t.Fatal(err)
-			}
-			for _, tab := range []*lineTable[uint64]{&dir.l1dir, &dir.l2dir} {
+			for _, tab := range []*lineTable[uint64]{&s.l1dir, &s.l2dir} {
 				for c, chunk := range tab.dir {
 					if chunk != nil && !touched[c] {
 						t.Fatalf("directory chunk %d allocated, but no drawn line falls in it", c)
 					}
 				}
 			}
-			for c := 0; c < ncores; c++ {
-				if *dir.Counters(c) != *ref.Counters(c) {
-					t.Fatalf("core %d counters diverge:\n  dir: %s\n  ref: %s",
-						c, dir.Counters(c).String(), ref.Counters(c).String())
-				}
-			}
-			for c := 0; c < ncores; c++ {
-				compareCaches(t, "L1", c, dir.L1(c), ref.L1(c))
-			}
-			for d := 0; d < dir.NumDomains(); d++ {
-				compareCaches(t, "L2", d, dir.L2(d), ref.L2(d))
-			}
 		})
 	}
 }
 
-func compareCaches(t *testing.T, level string, idx int, a, b *Cache) {
+// readCoherenceGolden parses "machine digest" lines, skipping '#' comments.
+func readCoherenceGolden(t *testing.T) map[string]string {
 	t.Helper()
-	got := map[Line]MESIState{}
-	a.Each(func(l Line, s MESIState) { got[l] = s })
-	want := map[Line]MESIState{}
-	b.Each(func(l Line, s MESIState) { want[l] = s })
-	if len(got) != len(want) {
-		t.Fatalf("%s %d holds %d lines, want %d", level, idx, len(got), len(want))
+	f, err := os.Open(coherenceGolden)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for l, s := range want {
-		if got[l] != s {
-			t.Fatalf("%s %d line %d state %v, want %v", level, idx, l, got[l], s)
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
 		}
+		name, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", coherenceGolden, line)
+		}
+		want[name] = sum
 	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return want
 }
 
 // validateDirectories cross-checks the sharing directories against the

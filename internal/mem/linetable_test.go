@@ -68,10 +68,17 @@ func TestCacheMemoryFollowsTouchedLines(t *testing.T) {
 
 // BenchmarkCacheAccess is the L1/L2 probe layer micro: ns per System.Read
 // by one core of Harpertown with the Table II caches, for an L1 hit, an
-// L2 hit (L1 miss, L1 refill) and a miss to memory. Each case cycles over
-// lines chosen so every access lands in its case, spread over hundreds of
-// residency-table chunks so the chunk hop is on the measured path. One
-// warm-up pass fills the caches; a second pass checks the counters.
+// L2 hit (L1 miss, L1 refill) and a miss to memory, and ns per round of
+// the shared-write case, the remote MESI transition: core 2 (another L2
+// domain on the same chip) and core 1 (core 0's sibling) read a line, then
+// core 0 writes it. Core 2's read is a cache-to-cache transfer from
+// domain 0, which held the line Modified since the last round; core 1's
+// read hits the shared L2; core 0's store upgrades Shared to Modified,
+// invalidating domain 1's L2 and core 2's L1, and core 1's L1 copy. Each
+// case cycles over lines chosen so every access lands in its case, spread
+// over hundreds of residency-table chunks so the chunk hop is on the
+// measured path. One warm-up pass fills the caches; a second pass checks
+// the counters.
 func BenchmarkCacheAccess(b *testing.B) {
 	const l2Sets = 6 << 20 / LineSize / 8
 	var l1hit, l2hit, miss []Line
@@ -120,4 +127,41 @@ func BenchmarkCacheAccess(b *testing.B) {
 			}
 		})
 	}
+	b.Run("sharedWrite", func(b *testing.B) {
+		s := NewSystem(topology.Harpertown(), DefaultL1Config, DefaultL2Config)
+		var now uint64
+		round := func(l Line) {
+			now += 1000
+			s.Read(2, l, now)
+			s.Read(1, l, now)
+			s.Write(0, l, now)
+		}
+		for pass := 0; pass < 2; pass++ {
+			inv := s.Counters(0).Get(metrics.Invalidations)
+			snoops := s.Counters(2).Get(metrics.SnoopTransactions)
+			hits := s.Counters(1).Get(metrics.L2Hits)
+			for _, l := range l1hit {
+				round(l)
+			}
+			if pass == 0 {
+				continue
+			}
+			n := uint64(len(l1hit))
+			if got := s.Counters(0).Get(metrics.Invalidations) - inv; got != 3*n {
+				b.Fatalf("%d rounds' writes invalidated %d copies, want %d", n, got, 3*n)
+			}
+			if got := s.Counters(2).Get(metrics.SnoopTransactions) - snoops; got != n {
+				b.Fatalf("core 2 took %d cache-to-cache transfers in %d rounds, want %d", got, n, n)
+			}
+			if got := s.Counters(1).Get(metrics.L2Hits) - hits; got != n {
+				b.Fatalf("core 1 hit its L2 %d times in %d rounds, want %d", got, n, n)
+			}
+		}
+		n := len(l1hit)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round(l1hit[i%n])
+		}
+	})
 }

@@ -23,7 +23,8 @@
 # pairs, with the same flags (a side's result in a pair is the best of a
 # few runs for the short cases). The gated cases are BenchmarkEngine,
 # BenchmarkMultilevel, BenchmarkMatrixAdd, BenchmarkCacheAccess (the
-# L1/L2 probe layer: L1 hit, L2 hit, miss), the serve-plane micros
+# L1/L2 probe layer: L1 hit, L2 hit, miss, and the shared-write round of
+# a remote MESI transition), the serve-plane micros
 # (BenchmarkIngestParse, BenchmarkRecovery), BenchmarkParallelSuite/workers2
 # (harness.RunPerformance at class S) and the mapperd selftest's event and
 # query rates. A case's ratio in one pair is current/parent events/sec, or
@@ -134,6 +135,7 @@ internal/comm:comm.test:BenchmarkMatrixAdd/n1024:100000000x:3
 internal/mem:mem.test:BenchmarkCacheAccess/L1hit:5000000x:3
 internal/mem:mem.test:BenchmarkCacheAccess/L2hit:5000000x:3
 internal/mem:mem.test:BenchmarkCacheAccess/miss:5000000x:3
+internal/mem:mem.test:BenchmarkCacheAccess/sharedWrite:2000000x:3
 internal/serve:serve.test:BenchmarkIngestParse:500x:2
 internal/serve:serve.test:BenchmarkRecovery/workers1:50x:2
 internal/serve:serve.test:BenchmarkRecovery/workers4:50x:2
