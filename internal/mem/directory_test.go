@@ -124,30 +124,29 @@ func coherenceStream(t *testing.T, s *System, validate func(*System) error) stri
 // semantic change, so per-operation latencies, the front-side-bus
 // schedule, the counters and the cache contents all match. The directory
 // is cross-checked against the cache contents every 1,000 operations, and
-// no directory chunk may be allocated outside the drawn bands.
+// no directory chunk may be allocated outside the keys of the drawn bands.
 func TestDirectoryMatchesBroadcast(t *testing.T) {
 	want := readCoherenceGolden(t)
 	machines := streamMachines()
 	if len(want) != len(machines) {
 		t.Fatalf("%s has %d machines, the test defines %d", coherenceGolden, len(want), len(machines))
 	}
-	touched := map[int]bool{}
-	for _, b := range streamBands {
-		for c := b[0] >> chunkBits; c <= (b[1]-1)>>chunkBits; c++ {
-			touched[c] = true
-		}
-	}
 	for _, mk := range machines {
 		t.Run(mk.name, func(t *testing.T) {
 			s := newStreamSystem(mk.m)
-			if got := coherenceStream(t, s, validateDirectories); got != want[mk.name] {
+			if got := coherenceStream(t, s, validateDirectory); got != want[mk.name] {
 				t.Fatalf("digest %s, golden %s", got, want[mk.name])
 			}
-			for _, tab := range []*lineTable[uint64]{&s.l1dir, &s.l2dir} {
-				for c, chunk := range tab.dir {
-					if chunk != nil && !touched[c] {
-						t.Fatalf("directory chunk %d allocated, but no drawn line falls in it", c)
-					}
+			touched := map[uint64]bool{}
+			for _, b := range streamBands {
+				first, last := uint64(b[0])*s.l2words, uint64(b[1])*s.l2words-1
+				for c := first >> chunkBits; c <= last>>chunkBits; c++ {
+					touched[c] = true
+				}
+			}
+			for c, chunk := range s.l2dir.dir {
+				if chunk != nil && !touched[uint64(c)] {
+					t.Fatalf("directory chunk %d allocated, but no drawn line's key falls in it", c)
 				}
 			}
 		})
@@ -181,46 +180,35 @@ func readCoherenceGolden(t *testing.T) map[string]string {
 	return want
 }
 
-// validateDirectories cross-checks the sharing directories against the
-// actual cache contents (O(cache size + allocated chunks)).
-func validateDirectories(s *System) error {
-	if s.l2dirOK {
-		if err := checkDirectory("l2dir", &s.l2dir, s.l2s); err != nil {
-			return err
-		}
-	}
-	if s.l1dirOK {
-		if err := checkDirectory("l1dir", &s.l1dir, s.l1s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkDirectory requires dir[l] to be exactly the mask of the caches
-// holding line l: every holder is found in the mask, and walking every
-// allocated chunk finds no bit for a cache that does not hold the line.
-func checkDirectory(which string, dir *lineTable[uint64], caches []*Cache) error {
-	want := map[Line]uint64{}
-	for i, c := range caches {
+// validateDirectory cross-checks the L2 sharing directory against the
+// actual cache contents (O(cache size + allocated chunks)): the mask word
+// at key l*l2words + w must be exactly the set of domains 64w to 64w+63
+// whose L2 holds line l. Every holder is found in its word, and walking
+// every allocated chunk finds no bit for a domain that does not hold the
+// line.
+func validateDirectory(s *System) error {
+	want := map[uint64]uint64{}
+	for d, c := range s.l2s {
 		c.Each(func(l Line, st MESIState) {
 			if st != Invalid {
-				want[l] |= 1 << uint(i)
+				want[uint64(l)*s.l2words+uint64(d)/64] |= 1 << (uint(d) % 64)
 			}
 		})
 	}
-	for l, m := range want {
-		if got := dir.get(uint64(l)); got != m {
-			return fmt.Errorf("mem: %s[%d] = %#x, want %#x", which, l, got, m)
+	for k, m := range want {
+		if got := s.l2dir.get(k); got != m {
+			return fmt.Errorf("mem: l2dir key %d (line %d, word %d) = %#x, want %#x",
+				k, k/s.l2words, k%s.l2words, got, m)
 		}
 	}
-	for c, chunk := range dir.dir {
+	for c, chunk := range s.l2dir.dir {
 		if chunk == nil {
 			continue
 		}
 		for i, m := range chunk {
-			if l := Line(c<<chunkBits | i); m != want[l] {
-				return fmt.Errorf("mem: %s[%d] = %#x, want %#x", which, l, m, want[l])
+			if k := uint64(c<<chunkBits | i); m != want[k] {
+				return fmt.Errorf("mem: l2dir key %d (line %d, word %d) = %#x, want %#x",
+					k, k/s.l2words, k%s.l2words, m, want[k])
 			}
 		}
 	}

@@ -29,7 +29,9 @@ const RemoteMemPenalty = 120
 // System is the coherent memory hierarchy of the simulated machine: one
 // private write-through L1 data cache per core, one write-back MESI L2 per
 // L2 sharing domain (a core pair on Harpertown), and a snooping interconnect
-// among the L2s.
+// among the L2s. Every coherence action takes the same path at every
+// machine size: snoops visit the L2 domains the sharing directory lists,
+// and the L1s above a domain are probed directly.
 //
 // Instruction caches are not modelled: as Section III-A1 notes, only data
 // accesses matter for thread mapping, since code pages are effectively
@@ -41,50 +43,44 @@ type System struct {
 	machine *topology.Machine
 	l1s     []*Cache // per core
 	l2s     []*Cache // per L2 domain
-	// domainCores[d] lists the cores sharing L2 domain d.
-	domainCores [][]int
-	// domainRep[d] is a representative core of domain d, for latency
+	// domainCores[d] lists the cores sharing L2 domain d, in ascending
+	// order; the first is the domain's representative for latency
 	// queries between a requesting core and a supplying domain.
-	domainRep []int
-	ctr       []*metrics.Counters // per core
+	domainCores [][]int
+	ctr         []*metrics.Counters // per core
 
 	// fsbFreeAt is the cycle at which the shared front-side bus becomes
 	// free; inter-chip transactions queue behind it.
 	fsbFreeAt uint64
 
-	// Exact sharing directories. A real snooping bus broadcasts every miss
-	// to every L2; modelling that as a probe loop over all domains makes
-	// the simulator's miss cost scale with machine size even though most
-	// probes find nothing. The directories record, per physical line, the
-	// exact holder set as a bitmask, so the coherence paths visit only
-	// actual holders — the simulated latencies and counters are unchanged
-	// because probes that would have missed contribute neither.
+	// L2 sharing directory. A real snooping bus broadcasts every miss to
+	// every L2; modelling that as a probe loop over all domains makes the
+	// simulator's miss cost scale with machine size even though most
+	// probes find nothing. The directory records, per physical line, the
+	// exact set of L2 domains holding it, so the snoop paths visit only
+	// actual holders — the simulated latencies and counters are those of
+	// the broadcast because probes that would have missed contribute
+	// neither. Holders are visited in ascending domain order, the
+	// broadcast's: the first of several Shared holders supplies the line,
+	// so the order fixes the transfer's latency. The set is l2words 64-bit
+	// mask words per line: key l*l2words + w holds the bits of domains 64w
+	// to 64w+63. It is a paged table, so a line never written holds
+	// nothing.
 	//
-	// l2dir[line] is the mask of L2 domains holding the line (machines
-	// with ≤64 domains; l2dirOK). l1dir[line] is the mask of cores whose
-	// L1 holds the line (≤64 cores; l1dirOK). Beyond those sizes the
-	// original probe-everyone loops are used. Both are paged tables, so a
-	// line never written holds nothing.
-	l2dirOK bool
-	l1dirOK bool
+	// The L1s need no directory: every action that drops L1 copies is
+	// confined to one L2 domain (a sibling store, inclusion on an L2
+	// eviction, a domain's invalidation), whose few cores are probed
+	// directly.
+	l2words uint64
 	l2dir   lineTable[uint64]
-	l1dir   lineTable[uint64]
-	// sibMask[c] is the mask of core c's same-domain siblings (excluding
-	// c itself); domainL1Mask[d] is the mask of all cores in domain d.
-	// Only built when l1dirOK.
-	sibMask      []uint64
-	domainL1Mask []uint64
 
 	// Interconnect geometry tables. Every coherence transaction charges
 	// the latency between the requesting core and a supplying domain's
 	// representative core, and asks whether the hop crosses a chip; both
 	// answers are fixed by the topology, so they are computed once here
-	// instead of walking the sharing tree per snoop. domLat[core*nDomains
-	// + d] is Latency(core, domainRep[d]); domXChip is !SameChip of the
-	// same pair. domTabOK gates the tables on machines small enough to
-	// afford the n×domains footprint.
-	domTabOK bool
-	nDomains int
+	// instead of walking the sharing tree per snoop. domLat[core*len(l2s)
+	// + d] is Latency(core, domainCores[d][0]); domXChip is !SameChip of
+	// the same pair.
 	domLat   []uint32
 	domXChip []bool
 
@@ -117,7 +113,6 @@ func NewSystem(m *topology.Machine, l1cfg, l2cfg CacheConfig) *System {
 		l1s:         make([]*Cache, n),
 		l2s:         make([]*Cache, numDomains),
 		domainCores: make([][]int, numDomains),
-		domainRep:   make([]int, numDomains),
 		ctr:         make([]*metrics.Counters, n),
 		l1cfg:       l1cfg,
 		l2cfg:       l2cfg,
@@ -130,34 +125,15 @@ func NewSystem(m *topology.Machine, l1cfg, l2cfg CacheConfig) *System {
 	}
 	for d := 0; d < numDomains; d++ {
 		s.l2s[d] = NewCache(l2cfg)
-		s.domainRep[d] = s.domainCores[d][0]
 	}
-	s.l2dirOK = numDomains <= 64
-	s.l1dirOK = n <= 64
-	if s.l1dirOK {
-		s.sibMask = make([]uint64, n)
-		s.domainL1Mask = make([]uint64, numDomains)
+	s.l2words = uint64(numDomains+63) / 64
+	s.domLat = make([]uint32, n*numDomains)
+	s.domXChip = make([]bool, n*numDomains)
+	for c := 0; c < n; c++ {
 		for d := 0; d < numDomains; d++ {
-			var m uint64
-			for _, c := range s.domainCores[d] {
-				m |= 1 << uint(c)
-			}
-			s.domainL1Mask[d] = m
-			for _, c := range s.domainCores[d] {
-				s.sibMask[c] = m &^ (1 << uint(c))
-			}
-		}
-	}
-	s.nDomains = numDomains
-	if s.domTabOK = n*numDomains <= 1<<20; s.domTabOK {
-		s.domLat = make([]uint32, n*numDomains)
-		s.domXChip = make([]bool, n*numDomains)
-		for c := 0; c < n; c++ {
-			for d := 0; d < numDomains; d++ {
-				rep := s.domainRep[d]
-				s.domLat[c*numDomains+d] = uint32(m.Latency(c, rep))
-				s.domXChip[c*numDomains+d] = !m.SameChip(c, rep)
-			}
+			rep := s.domainCores[d][0]
+			s.domLat[c*numDomains+d] = uint32(m.Latency(c, rep))
+			s.domXChip[c*numDomains+d] = !m.SameChip(c, rep)
 		}
 	}
 	s.numa = m.NUMANode(0) >= 0
@@ -167,33 +143,27 @@ func NewSystem(m *topology.Machine, l1cfg, l2cfg CacheConfig) *System {
 // repLatency returns the interconnect latency from core to domain d's
 // representative and whether the hop crosses a chip boundary.
 func (s *System) repLatency(core, d int) (uint64, bool) {
-	if s.domTabOK {
-		o := core*s.nDomains + d
-		return uint64(s.domLat[o]), s.domXChip[o]
-	}
-	rep := s.domainRep[d]
-	return s.machine.Latency(core, rep), !s.machine.SameChip(core, rep)
+	o := core*len(s.l2s) + d
+	return uint64(s.domLat[o]), s.domXChip[o]
 }
 
-// l2Holders returns the directory mask of L2 domains holding line l.
-func (s *System) l2Holders(l Line) uint64 { return s.l2dir.get(uint64(l)) }
+// remoteHolders returns mask word w of the L2 domains other than d that
+// hold line l: bit i stands for domain 64w+i.
+func (s *System) remoteHolders(l Line, w uint64, d int) uint64 {
+	m := s.l2dir.get(uint64(l)*s.l2words + w)
+	if w == uint64(d)/64 {
+		m &^= 1 << (uint(d) % 64)
+	}
+	return m
+}
 
-// l1Holders returns the directory mask of cores whose L1 holds line l.
-func (s *System) l1Holders(l Line) uint64 { return s.l1dir.get(uint64(l)) }
-
-func (s *System) l2dirSet(l Line, d int) { *s.l2dir.slot(uint64(l)) |= 1 << uint(d) }
+func (s *System) l2dirSet(l Line, d int) {
+	*s.l2dir.slot(uint64(l)*s.l2words + uint64(d)/64) |= 1 << (uint(d) % 64)
+}
 
 func (s *System) l2dirClear(l Line, d int) {
-	if p := s.l2dir.at(uint64(l)); p != nil {
-		*p &^= 1 << uint(d)
-	}
-}
-
-func (s *System) l1dirSet(l Line, core int) { *s.l1dir.slot(uint64(l)) |= 1 << uint(core) }
-
-func (s *System) l1dirClear(l Line, core int) {
-	if p := s.l1dir.at(uint64(l)); p != nil {
-		*p &^= 1 << uint(core)
+	if p := s.l2dir.at(uint64(l)*s.l2words + uint64(d)/64); p != nil {
+		*p &^= 1 << (uint(d) % 64)
 	}
 }
 
@@ -279,12 +249,6 @@ func (s *System) Read(core int, l Line, now uint64) uint64 {
 	// eviction is silent. The line is known non-resident: this L1 just
 	// missed it, and the fetch path only invalidates remote domains.
 	ev := s.l1s[core].insertNew(l, Shared)
-	if s.l1dirOK {
-		if ev.Happened {
-			s.l1dirClear(ev.Line, core)
-		}
-		s.l1dirSet(l, core)
-	}
 	if s.obs != nil {
 		if ev.Happened {
 			s.obs.OnL1Drop(core, ev.Line)
@@ -339,25 +303,12 @@ func (s *System) Write(core int, l Line, now uint64) uint64 {
 	}
 
 	// Keep sibling L1s inside the same L2 domain coherent: a store by one
-	// core invalidates the line in the other core's private L1.
-	if s.l1dirOK {
-		for m := s.l1Holders(l) & s.sibMask[core]; m != 0; m &= m - 1 {
-			peer := bits.TrailingZeros64(m)
-			if s.l1s[peer].SetState(l, Invalid) {
-				s.l1dirClear(l, peer)
-				ctr.Inc(metrics.Invalidations)
-				if s.obs != nil {
-					s.obs.OnL1Drop(peer, l)
-				}
-			}
-		}
-	} else {
-		for _, peer := range s.domainCores[d] {
-			if peer != core && s.l1s[peer].SetState(l, Invalid) {
-				ctr.Inc(metrics.Invalidations)
-				if s.obs != nil {
-					s.obs.OnL1Drop(peer, l)
-				}
+	// core invalidates the line in the other cores' private L1s.
+	for _, peer := range s.domainCores[d] {
+		if peer != core && s.l1s[peer].SetState(l, Invalid) {
+			ctr.Inc(metrics.Invalidations)
+			if s.obs != nil {
+				s.obs.OnL1Drop(peer, l)
 			}
 		}
 	}
@@ -377,18 +328,9 @@ func (s *System) fetchLine(core, d int, l Line, now uint64, exclusive bool) (uin
 	ctr := s.ctr[core]
 	var lat uint64
 	supplier := -1
-	var supplierState MESIState
-	if s.l2dirOK {
-		for m := s.l2Holders(l) &^ (1 << uint(d)); m != 0; m &= m - 1 {
-			supplier, supplierState = s.snoopDomain(ctr, bits.TrailingZeros64(m), l,
-				exclusive, supplier, supplierState)
-		}
-	} else {
-		for d2 := range s.l2s {
-			if d2 != d {
-				supplier, supplierState = s.snoopDomain(ctr, d2, l,
-					exclusive, supplier, supplierState)
-			}
+	for w := uint64(0); w < s.l2words; w++ {
+		for m := s.remoteHolders(l, w, d); m != 0; m &= m - 1 {
+			supplier = s.snoopDomain(ctr, int(w)*64+bits.TrailingZeros64(m), l, exclusive, supplier)
 		}
 	}
 
@@ -412,7 +354,6 @@ func (s *System) fetchLine(core, d int, l Line, now uint64, exclusive bool) (uin
 			ctr.Inc(metrics.InterChipTraffic)
 			lat += s.fsbAcquire(now + lat)
 		}
-		_ = supplierState
 	} else {
 		ctr.Inc(metrics.MemoryReads)
 		lat += s.memFill(ctr, core, l, now+lat)
@@ -420,13 +361,9 @@ func (s *System) fetchLine(core, d int, l Line, now uint64, exclusive bool) (uin
 
 	// Known non-resident: this L2 just missed the line.
 	ev := s.l2s[d].insertNew(l, newState)
-	if s.l2dirOK {
-		if ev.Happened {
-			s.l2dirClear(ev.Line, d)
-		}
-		s.l2dirSet(l, d)
-	}
+	s.l2dirSet(l, d)
 	if ev.Happened {
+		s.l2dirClear(ev.Line, d)
 		if ev.State == Modified {
 			ctr.Inc(metrics.MemoryWrites)
 			if s.obs != nil {
@@ -437,21 +374,9 @@ func (s *System) fetchLine(core, d int, l Line, now uint64, exclusive bool) (uin
 			s.obs.OnL2Evict(d, ev.Line, ev.State)
 		}
 		// Enforce inclusion: drop the evicted line from the domain's L1s.
-		if s.l1dirOK {
-			for m := s.l1Holders(ev.Line) & s.domainL1Mask[d]; m != 0; m &= m - 1 {
-				peer := bits.TrailingZeros64(m)
-				if s.l1s[peer].SetState(ev.Line, Invalid) {
-					s.l1dirClear(ev.Line, peer)
-					if s.obs != nil {
-						s.obs.OnL1Drop(peer, ev.Line)
-					}
-				}
-			}
-		} else {
-			for _, peer := range s.domainCores[d] {
-				if s.l1s[peer].SetState(ev.Line, Invalid) && s.obs != nil {
-					s.obs.OnL1Drop(peer, ev.Line)
-				}
+		for _, peer := range s.domainCores[d] {
+			if s.l1s[peer].SetState(ev.Line, Invalid) && s.obs != nil {
+				s.obs.OnL1Drop(peer, ev.Line)
 			}
 		}
 	}
@@ -461,19 +386,16 @@ func (s *System) fetchLine(core, d int, l Line, now uint64, exclusive bool) (uin
 	return lat, src, supplier
 }
 
-// snoopDomain resolves one remote domain's part in a snoop: it probes the
-// domain's L2 and, if the line is held, invalidates (BusRdX) or downgrades
-// (BusRd) the copy, threading the (supplier, state) accumulator through so
-// the last Modified holder — or the first holder of any kind — supplies
-// the line. It is a plain method rather than a closure in fetchLine so the
-// per-holder call passes its state in registers.
-func (s *System) snoopDomain(ctr *metrics.Counters, d2 int, l Line, exclusive bool, supplier int, supplierState MESIState) (int, MESIState) {
+// snoopDomain resolves one holder domain's part in a snoop: it reads the
+// state of domain d2's copy, which the sharing directory lists, and
+// invalidates it (BusRdX) or downgrades it (BusRd). It threads the
+// supplier through the holders so the Modified holder — or else the first
+// holder — supplies the line. It is a plain method rather than a closure
+// in fetchLine so the per-holder call passes its state in registers.
+func (s *System) snoopDomain(ctr *metrics.Counters, d2 int, l Line, exclusive bool, supplier int) int {
 	st := s.l2s[d2].Probe(l)
-	if st == Invalid {
-		return supplier, supplierState
-	}
 	if supplier == -1 || st == Modified {
-		supplier, supplierState = d2, st
+		supplier = d2
 	}
 	if exclusive {
 		// Invalidate every holder on a write miss.
@@ -492,37 +414,20 @@ func (s *System) snoopDomain(ctr *metrics.Counters, d2 int, l Line, exclusive bo
 			s.obs.OnL2State(d2, l, st, Shared)
 		}
 	}
-	return supplier, supplierState
+	return supplier
 }
 
-// invalidateRemote invalidates the line in every other L2 domain (and the
-// L1s above them), counting one invalidation per dropped cache line, and
-// returns the interconnect latency of the farthest invalidation plus any
-// front-side-bus queueing delay.
+// invalidateRemote invalidates the line in every other L2 domain holding
+// it (and the L1s above them), counting one invalidation per dropped copy,
+// and returns the interconnect latency of the farthest invalidation plus
+// any front-side-bus queueing delay.
 func (s *System) invalidateRemote(core, d int, l Line, now uint64) uint64 {
 	ctr := s.ctr[core]
 	var lat uint64
 	crossChip := false
-	if s.l2dirOK {
-		for m := s.l2Holders(l) &^ (1 << uint(d)); m != 0; m &= m - 1 {
-			d2 := bits.TrailingZeros64(m)
-			s.invalidateDomain(ctr, d2, l)
-			hop, xchip := s.repLatency(core, d2)
-			if hop > lat {
-				lat = hop
-			}
-			if !xchip {
-				ctr.Inc(metrics.IntraChipTraffic)
-			} else {
-				ctr.Inc(metrics.InterChipTraffic)
-				crossChip = true
-			}
-		}
-	} else {
-		for d2 := range s.l2s {
-			if d2 == d || s.l2s[d2].Probe(l) == Invalid {
-				continue
-			}
+	for w := uint64(0); w < s.l2words; w++ {
+		for m := s.remoteHolders(l, w, d); m != 0; m &= m - 1 {
+			d2 := int(w)*64 + bits.TrailingZeros64(m)
 			s.invalidateDomain(ctr, d2, l)
 			hop, xchip := s.repLatency(core, d2)
 			if hop > lat {
@@ -566,24 +471,11 @@ func (s *System) invalidateDomain(ctr *metrics.Counters, d2 int, l Line) {
 	// Drop the L1 copies first so that, when the L2 invalidation event
 	// fires, the observers see the domain's invalidation as one atomic
 	// action with inclusion already restored.
-	if s.l1dirOK {
-		for m := s.l1Holders(l) & s.domainL1Mask[d2]; m != 0; m &= m - 1 {
-			c2 := bits.TrailingZeros64(m)
-			if s.l1s[c2].SetState(l, Invalid) {
-				s.l1dirClear(l, c2)
-				ctr.Inc(metrics.Invalidations)
-				if s.obs != nil {
-					s.obs.OnL1Drop(c2, l)
-				}
-			}
-		}
-	} else {
-		for _, c2 := range s.domainCores[d2] {
-			if s.l1s[c2].SetState(l, Invalid) {
-				ctr.Inc(metrics.Invalidations)
-				if s.obs != nil {
-					s.obs.OnL1Drop(c2, l)
-				}
+	for _, c2 := range s.domainCores[d2] {
+		if s.l1s[c2].SetState(l, Invalid) {
+			ctr.Inc(metrics.Invalidations)
+			if s.obs != nil {
+				s.obs.OnL1Drop(c2, l)
 			}
 		}
 	}
